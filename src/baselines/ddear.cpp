@@ -1,9 +1,10 @@
 #include "baselines/ddear.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_set>
+#include <utility>
 
 namespace refer::baselines {
 
@@ -53,49 +54,113 @@ void DDear::build(std::function<void(bool)> done) {
   });
 }
 
-void DDear::elect_heads_and_paths(std::function<void(bool)> done) {
-  // A sensor with more energy than everyone in its 2-hop neighbourhood is
-  // a cluster head (ties break towards the higher node id).
-  const auto sensors = world_->all_of(sim::NodeKind::kSensor);
-  std::vector<NodeId> heads;
-  auto score = [this](NodeId n) {
-    return std::pair(energy_->battery(static_cast<std::size_t>(n)), n);
+Clustering cluster_sensors(sim::World& world,
+                           const sim::EnergyTracker& energy,
+                           int radius_hops) {
+  const std::size_t n = world.size();
+  const auto sensors = world.all_of(sim::NodeKind::kSensor);
+  // Snapshot of the 1-hop sensor adjacency (CSR, rows in the ascending-id
+  // order visit_reachable yields).  Dead sensors and actuators keep empty
+  // rows and never appear in one, so walks over it are exactly the
+  // k-hop walks the hello exchange describes.
+  std::vector<std::size_t> row(n + 1, 0);
+  std::vector<NodeId> adj;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<NodeId>(i);
+    if (!world.is_actuator(v)) {
+      world.visit_reachable(v, [&](NodeId r) {
+        if (!world.is_actuator(r)) adj.push_back(r);
+      });
+    }
+    row[i + 1] = adj.size();
+  }
+  auto neighbours = [&](NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    return std::span<const NodeId>(adj.data() + row[i], row[i + 1] - row[i]);
   };
+  auto score = [&energy](NodeId v) {
+    return std::pair(energy.battery(static_cast<std::size_t>(v)), v);
+  };
+
+  // Election: after `radius_hops` rounds of max-propagation best[v] is the
+  // top-scoring sensor within that many hops of v (ties cannot happen:
+  // the id is part of the score).
+  std::vector<NodeId> best(n, -1), next;
   for (NodeId s : sensors) {
-    if (!world_->alive(s)) continue;
-    bool best = true;
-    for (NodeId n : khop_neighborhood(s, config_.cluster_radius_hops)) {
-      if (!world_->alive(n)) continue;
-      if (score(n) > score(s)) {
-        best = false;
-        break;
+    if (world.alive(s)) best[static_cast<std::size_t>(s)] = s;
+  }
+  for (int round = 0; round < radius_hops; ++round) {
+    next = best;
+    for (NodeId s : sensors) {
+      NodeId& mine = next[static_cast<std::size_t>(s)];
+      for (NodeId r : neighbours(s)) {
+        const NodeId theirs = best[static_cast<std::size_t>(r)];
+        if (score(theirs) > score(mine)) mine = theirs;
       }
     }
-    if (best) heads.push_back(s);
+    best.swap(next);
   }
-  // Members attach to the physically closest head in their 2-hop
-  // neighbourhood (or become their own head when none is visible).
+  Clustering out;
+  std::vector<char> is_head(n, 0);
   for (NodeId s : sensors) {
-    if (!world_->alive(s)) continue;
+    if (world.alive(s) && best[static_cast<std::size_t>(s)] == s) {
+      out.heads.push_back(s);
+      is_head[static_cast<std::size_t>(s)] = 1;
+    }
+  }
+
+  // Attachment: a BFS of `radius_hops` levels from each member; the
+  // closest head wins, the first in discovery order on a tie.  A sensor
+  // that sees no head becomes one at once, so later members may join it.
+  out.head_of.assign(n, -1);
+  std::vector<std::uint32_t> seen(n, 0);
+  std::uint32_t stamp = 0;
+  std::vector<NodeId> frontier, level;
+  for (NodeId s : sensors) {
+    if (!world.alive(s)) continue;
+    const auto si = static_cast<std::size_t>(s);
+    if (is_head[si]) {
+      out.head_of[si] = s;
+      continue;
+    }
     NodeId my_head = -1;
     double best_d = std::numeric_limits<double>::infinity();
-    for (NodeId n : khop_neighborhood(s, config_.cluster_radius_hops)) {
-      if (std::find(heads.begin(), heads.end(), n) == heads.end()) continue;
-      const double d =
-          distance_sq(world_->position(s), world_->position(n));
-      if (d < best_d) {
-        best_d = d;
-        my_head = n;
+    const Point at = world.position(s);
+    seen[si] = ++stamp;
+    frontier.assign(1, s);
+    for (int h = 0; h < radius_hops && !frontier.empty(); ++h) {
+      level.clear();
+      for (NodeId v : frontier) {
+        for (NodeId r : neighbours(v)) {
+          const auto ri = static_cast<std::size_t>(r);
+          if (seen[ri] == stamp) continue;
+          seen[ri] = stamp;
+          level.push_back(r);
+          if (!is_head[ri]) continue;
+          const double d = distance_sq(at, world.position(r));
+          if (d < best_d) {
+            best_d = d;
+            my_head = r;
+          }
+        }
       }
+      frontier.swap(level);
     }
-    if (std::find(heads.begin(), heads.end(), s) != heads.end()) my_head = s;
     if (my_head < 0) {
-      heads.push_back(s);  // isolated: self-cluster
+      out.heads.push_back(s);  // isolated: self-cluster
+      is_head[si] = 1;
       my_head = s;
     }
-    head_of_[s] = my_head;
+    out.head_of[si] = my_head;
   }
-  discover_head_path(0, std::move(heads), std::move(done));
+  return out;
+}
+
+void DDear::elect_heads_and_paths(std::function<void(bool)> done) {
+  Clustering clusters =
+      cluster_sensors(*world_, *energy_, config_.cluster_radius_hops);
+  head_of_ = std::move(clusters.head_of);
+  discover_head_path(0, std::move(clusters.heads), std::move(done));
 }
 
 void DDear::discover_head_path(std::size_t head_index,
@@ -125,8 +190,8 @@ void DDear::discover_head_path(std::size_t head_index,
 bool DDear::is_head(NodeId sensor) const { return head_paths_.contains(sensor); }
 
 NodeId DDear::head_of(NodeId sensor) const {
-  const auto it = head_of_.find(sensor);
-  return it == head_of_.end() ? -1 : it->second;
+  const auto i = static_cast<std::size_t>(sensor);
+  return sensor >= 0 && i < head_of_.size() ? head_of_[i] : -1;
 }
 
 void DDear::send_event(NodeId src, std::size_t bytes,
@@ -282,7 +347,9 @@ void DDear::reattach_member(NodeId member, PendingPtr msg) {
     new_head = member;
     head_paths_.try_emplace(member);  // becomes a head, path found lazily
   }
-  head_of_[member] = new_head;
+  const auto mi = static_cast<std::size_t>(member);
+  if (mi >= head_of_.size()) head_of_.resize(mi + 1, -1);
+  head_of_[mi] = new_head;
   // Source retransmission after the re-attachment settles; the message
   // keeps its original timestamp and retry budget.
   ++stats_.retransmissions;

@@ -32,6 +32,28 @@ struct DDearConfig {
   std::size_t control_bytes = 48;
 };
 
+/// One D-DEAR clustering of the sensors alive at the current instant.
+struct Clustering {
+  /// Heads in election order: first every sensor that outscores its whole
+  /// k-hop neighbourhood, by ascending id; then each isolated sensor that
+  /// saw no head and became its own, in the order members attached.
+  std::vector<NodeId> heads;
+  /// Indexed by NodeId: the head each alive sensor attached to, -1 for
+  /// dead sensors and actuators.
+  std::vector<NodeId> head_of;
+};
+
+/// D-DEAR's cluster election at the current simulation time.  A sensor is
+/// a head when its (battery, id) score beats every sensor within
+/// `radius_hops` forwarding hops (directed by sender range, actuators
+/// never relay); every other sensor joins the physically closest head in
+/// that neighbourhood (the first one in BFS order on a distance tie), or
+/// becomes its own head when it sees none.  Works on one snapshot of the
+/// 1-hop sensor adjacency: a single range query per alive sensor.
+[[nodiscard]] Clustering cluster_sensors(sim::World& world,
+                                         const sim::EnergyTracker& energy,
+                                         int radius_hops);
+
 class DDear final : public WsanSystem {
  public:
   DDear(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
@@ -88,7 +110,7 @@ class DDear final : public WsanSystem {
   sim::EnergyTracker* energy_;
   DDearConfig config_;
   Stats stats_;
-  std::unordered_map<NodeId, NodeId> head_of_;            // member -> head
+  std::vector<NodeId> head_of_;  // member -> head, indexed by NodeId
   std::unordered_map<NodeId, std::vector<NodeId>> head_paths_;  // head -> path to actuator
 };
 

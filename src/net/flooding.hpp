@@ -23,7 +23,8 @@ namespace refer::net {
 using sim::NodeId;
 
 /// Flood-based discovery service.  Stateless between calls except for the
-/// query-id counter; per-query state lives in shared closures.
+/// query-id counter; per-query state lives in a query object owned by the
+/// query's in-flight frames and deadline, freed after the last one fires.
 class Flooder {
  public:
   Flooder(sim::Simulator& sim, sim::World& world, sim::Channel& channel)

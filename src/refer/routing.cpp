@@ -436,38 +436,43 @@ void ReferRouter::inter_step(NodeId actuator, PacketPtr pkt) {
     return distance_sq(world_->position(actuator), world_->position(x)) <
            distance_sq(world_->position(actuator), world_->position(y));
   });
-  auto attempt = std::make_shared<std::function<void(std::size_t)>>();
-  *attempt = [this, actuator, candidates, pkt, attempt](std::size_t i) {
-    if (i >= candidates.size()) {
-      drop(pkt, sim::DropReason::kAllSuccessorsFailed);
-      return;
-    }
-    channel_->unicast(actuator, candidates[i], pkt->bytes, EnergyBucket::kData,
-                      [this, actuator, candidates, i, pkt,
-                       attempt](bool ok) {
-                        if (!ok) {
-                          ++stats_.failovers;
-                          ++pkt->failovers;
-                          if (tracing()) {
-                            sim::TraceRecord rec = trace_base(
-                                sim::TraceEvent::kFailover, *pkt, actuator);
-                            rec.alt_index = static_cast<int>(i) + 1;
-                            tracer_->emit(rec);
-                          }
-                          (*attempt)(i + 1);
-                          return;
-                        }
-                        ++pkt->physical_hops;
-                        if (tracing()) {
-                          sim::TraceRecord rec = trace_base(
-                              sim::TraceEvent::kHopForward, *pkt, actuator);
-                          rec.to = candidates[i];
-                          tracer_->emit(rec);
-                        }
-                        inter_step(candidates[i], pkt);
-                      });
-  };
-  (*attempt)(0);
+  try_successors(actuator, std::move(candidates), 0, std::move(pkt));
+}
+
+void ReferRouter::try_successors(NodeId actuator,
+                                 std::vector<NodeId> candidates,
+                                 std::size_t next_choice, PacketPtr pkt) {
+  if (next_choice >= candidates.size()) {
+    drop(pkt, sim::DropReason::kAllSuccessorsFailed);
+    return;
+  }
+  const NodeId succ = candidates[next_choice];
+  channel_->unicast(
+      actuator, succ, pkt->bytes, EnergyBucket::kData,
+      [this, actuator, candidates = std::move(candidates), next_choice, succ,
+       pkt](bool ok) mutable {
+        if (!ok) {
+          ++stats_.failovers;
+          ++pkt->failovers;
+          if (tracing()) {
+            sim::TraceRecord rec =
+                trace_base(sim::TraceEvent::kFailover, *pkt, actuator);
+            rec.alt_index = static_cast<int>(next_choice) + 1;
+            tracer_->emit(rec);
+          }
+          try_successors(actuator, std::move(candidates), next_choice + 1,
+                         std::move(pkt));
+          return;
+        }
+        ++pkt->physical_hops;
+        if (tracing()) {
+          sim::TraceRecord rec =
+              trace_base(sim::TraceEvent::kHopForward, *pkt, actuator);
+          rec.to = succ;
+          tracer_->emit(rec);
+        }
+        inter_step(succ, std::move(pkt));
+      });
 }
 
 void ReferRouter::transmit_arc(NodeId from, NodeId to, PacketPtr pkt,

@@ -205,6 +205,10 @@ class ReferRouter {
                   PacketPtr pkt);
   /// At an actuator: either done, or CAN transit toward dst cell.
   void inter_step(NodeId actuator, PacketPtr pkt);
+  /// CAN transit: unicast to the next cell's corner actuators in order of
+  /// distance, starting at index `next_choice`, until one delivers.
+  void try_successors(NodeId actuator, std::vector<NodeId> candidates,
+                      std::size_t next_choice, PacketPtr pkt);
   /// Physical transfer of one Kautz arc with optional 1-relay detour.
   void transmit_arc(NodeId from, NodeId to, PacketPtr pkt,
                     std::function<void(bool)> done);

@@ -1,8 +1,36 @@
 // Unit tests for the net module: flooding discovery, path collection,
-// announcements, BFS oracle, path forwarding.
+// announcements, BFS oracle, path forwarding, and that each of them frees
+// its state once the simulator drains.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
 #include "net/flooding.hpp"
+
+namespace {
+std::int64_t g_live_blocks = 0;  // operator new blocks not yet deleted
+}  // namespace
+
+// Counting hooks for the leak tests.  Only counts; all storage still comes
+// from the default heap.
+void* operator new(std::size_t n) {
+  ++g_live_blocks;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept {
+  if (p) --g_live_blocks;
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace refer::net {
 namespace {
@@ -223,6 +251,90 @@ TEST_F(NetTest, SendAlongTrivialPathSucceedsImmediately) {
   send_along_path(channel, {0}, 100, EnergyBucket::kData,
                   [&](std::size_t, bool s) { ok = s; });
   EXPECT_TRUE(ok);
+}
+
+// Leak regressions: a flood or path transfer owns its state only through
+// its in-flight frames and deadline, so once the simulator drains, the
+// completion callback (and whatever it captured) must be gone, and so
+// must every heap block the operation allocated.
+class NetLeakTest : public NetTest {
+ protected:
+  /// Runs `start(token)` twice: first without a token, so the simulator's
+  /// and the world's reusable tables reach their steady size, then with
+  /// one for the callback to capture.  After the test's own reference is
+  /// dropped and the simulator drained, the live heap block count must be
+  /// back where it was and the token must have expired.  (The token's own
+  /// block stays: `watch` keeps it until the end of the scope.)
+  template <typename Start>
+  void expect_released(Start start) {
+    start(nullptr);
+    sim.run_all();
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = token;
+    const std::int64_t live = g_live_blocks;
+    start(std::move(token));
+    sim.run_all();
+    EXPECT_EQ(g_live_blocks, live) << "heap blocks outlived the operation";
+    EXPECT_TRUE(watch.expired()) << "the completion callback was leaked";
+  }
+};
+
+TEST_F(NetLeakTest, DiscoverReleasesItsStateWhenDrained) {
+  const auto ids = make_chain(4);
+  int found = 0;
+  expect_released([&](std::shared_ptr<int> token) {
+    flooder.discover(ids[0], ids[3], 5, EnergyBucket::kMaintenance,
+                     [&found, token](auto path) { found += path.has_value(); });
+  });
+  EXPECT_EQ(found, 2);
+}
+
+TEST_F(NetLeakTest, TimedOutDiscoverReleasesItsStateWhenDrained) {
+  const auto ids = make_chain(5);
+  int timeouts = 0;
+  expect_released([&](std::shared_ptr<int> token) {
+    flooder.discover(ids[0], ids[4], 2, EnergyBucket::kMaintenance,
+                     [&timeouts, token](auto path) {
+                       timeouts += !path.has_value();
+                     });
+  });
+  EXPECT_EQ(timeouts, 2);
+}
+
+TEST_F(NetLeakTest, CollectPathsReleasesItsStateWhenDrained) {
+  const auto ids = make_chain(4);
+  std::size_t arrived = 0;
+  expect_released([&](std::shared_ptr<int> token) {
+    flooder.collect_paths(ids[0], ids[3], 2, EnergyBucket::kConstruction,
+                          [&arrived, token](auto p) { arrived += p.size(); });
+  });
+  EXPECT_EQ(arrived, 2u);
+}
+
+TEST_F(NetLeakTest, AnnounceReleasesItsStateWhenDrained) {
+  const auto ids = make_chain(6);
+  int accepted = 0;
+  expect_released([&](std::shared_ptr<int> token) {
+    flooder.announce(ids[0], 3, EnergyBucket::kConstruction,
+                     [&accepted, token](NodeId, int, NodeId) {
+                       ++accepted;
+                       return true;
+                     });
+  });
+  EXPECT_EQ(accepted, 6);
+}
+
+TEST_F(NetLeakTest, SendAlongPathReleasesItsStateWhenDrained) {
+  const auto ids = make_chain(4);
+  int delivered = 0;
+  expect_released([&](std::shared_ptr<int> token) {
+    send_along_path(channel, {ids[0], ids[1], ids[2], ids[3]}, 1000,
+                    EnergyBucket::kData,
+                    [&delivered, token](std::size_t, bool ok) {
+                      delivered += ok;
+                    });
+  });
+  EXPECT_EQ(delivered, 2);
 }
 
 }  // namespace

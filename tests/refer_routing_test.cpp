@@ -2,7 +2,10 @@
 // detours, inter-cell CAN transit, delivery accounting.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "refer_fixture.hpp"
 
@@ -29,6 +32,52 @@ class RoutingTest : public PaperScenario {
     sim.run_until(sim.now() + 5.0);
     EXPECT_TRUE(called);
     return report;
+  }
+
+  /// In the quincunx every cell pair shares an actuator, so CAN transit is
+  /// never needed; a zig-zag strip of 6 actuators yields a chain of 4
+  /// cells where the end cells share no corner -- a packet between them
+  /// must hop the CAN.  Builds the strip and returns a source sensor in
+  /// one cell and a destination in a corner-disjoint cell (nullopt, with
+  /// a failure recorded, when the strip does not come out that way).
+  std::optional<std::pair<NodeId, FullId>> build_strip() {
+    for (int i = 0; i < 6; ++i) {
+      actuators.push_back(world.add_actuator(
+          {60.0 + 80.0 * i, i % 2 ? 320.0 : 180.0}, kActuatorRange));
+    }
+    add_static_sensors(300);
+    if (!build_refer(ReferConfig{.run_maintenance = false})) {
+      ADD_FAILURE() << "strip overlay must build";
+      return std::nullopt;
+    }
+    auto& topo = system->topology();
+    EXPECT_GE(topo.cell_count(), 3u);
+    // Find two cells with disjoint corner sets.
+    Cid from_cid = -1, to_cid = -1;
+    for (Cid a = 0; a < static_cast<Cid>(topo.cell_count()) && from_cid < 0;
+         ++a) {
+      for (Cid b = 0; b < static_cast<Cid>(topo.cell_count()); ++b) {
+        std::set<NodeId> corners;
+        for (const auto& c : topo.cell(a).corner_actuators()) {
+          corners.insert(*c);
+        }
+        bool disjoint = true;
+        for (const auto& c : topo.cell(b).corner_actuators()) {
+          if (corners.contains(*c)) disjoint = false;
+        }
+        if (disjoint) {
+          from_cid = a;
+          to_cid = b;
+          break;
+        }
+      }
+    }
+    if (from_cid < 0) {
+      ADD_FAILURE() << "strip must contain corner-disjoint cells";
+      return std::nullopt;
+    }
+    return std::pair{*topo.cell(from_cid).node_of(Label{0, 1, 0}),
+                     FullId{to_cid, Label{1, 0, 1}}};
   }
 
   DeliveryReport send_and_wait_full(NodeId src, FullId dst) {
@@ -141,42 +190,32 @@ TEST_F(RoutingTest, FullAddressingAcrossCells) {
 }
 
 TEST_F(RoutingTest, CrossCellUsesCanHopsOnStripTopology) {
-  // In the quincunx every cell pair shares an actuator, so CAN transit is
-  // never needed; a zig-zag strip of 6 actuators yields a chain of 4
-  // cells where the end cells share no corner -- the packet must hop the
-  // CAN.
-  for (int i = 0; i < 6; ++i) {
-    actuators.push_back(world.add_actuator(
-        {60.0 + 80.0 * i, i % 2 ? 320.0 : 180.0}, kActuatorRange));
-  }
-  add_static_sensors(300);
-  ASSERT_TRUE(build_refer(ReferConfig{.run_maintenance = false}));
-  auto& topo = system->topology();
-  ASSERT_GE(topo.cell_count(), 3u);
-  // Find two cells with disjoint corner sets.
-  Cid from_cid = -1, to_cid = -1;
-  for (Cid a = 0; a < static_cast<Cid>(topo.cell_count()) && from_cid < 0;
-       ++a) {
-    for (Cid b = 0; b < static_cast<Cid>(topo.cell_count()); ++b) {
-      std::set<NodeId> corners;
-      for (const auto& c : topo.cell(a).corner_actuators()) corners.insert(*c);
-      bool disjoint = true;
-      for (const auto& c : topo.cell(b).corner_actuators()) {
-        if (corners.contains(*c)) disjoint = false;
-      }
-      if (disjoint) {
-        from_cid = a;
-        to_cid = b;
-        break;
-      }
-    }
-  }
-  ASSERT_GE(from_cid, 0) << "strip must contain corner-disjoint cells";
-  const NodeId src = *topo.cell(from_cid).node_of(Label{0, 1, 0});
+  const auto strip = build_strip();
+  ASSERT_TRUE(strip);
+  const auto [src, dst] = *strip;
   const auto before = system->router().stats().can_hops;
-  const auto report = send_and_wait_full(src, FullId{to_cid, Label{1, 0, 1}});
+  const auto report = send_and_wait_full(src, dst);
   EXPECT_TRUE(report.delivered);
   EXPECT_GT(system->router().stats().can_hops, before);
+}
+
+TEST_F(RoutingTest, CrossCellSendReleasesThePacketWhenDrained) {
+  // The CAN transit hands the packet from corner actuator to corner
+  // actuator; once the transfer is over nothing may still own it (or the
+  // completion callback it carries).
+  const auto strip = build_strip();
+  ASSERT_TRUE(strip);
+  const auto [src, dst] = *strip;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  bool delivered = false;
+  system->send_to(src, dst, 1000,
+                  [&delivered, t = std::move(token)](const DeliveryReport& r) {
+                    delivered = r.delivered;
+                  });
+  sim.run_all();
+  EXPECT_TRUE(delivered);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST_F(RoutingTest, AscentRetargetsWhenNearestActuatorDies) {
