@@ -27,14 +27,6 @@
 //   --phase-profile attach the wall-clock phase profiler (per-bucket
 //                   phase_us in the timeseries; wall time is
 //                   nondeterministic, so off by default)
-//   --no-spatial-index  disable the world's spatial grid index (O(n)
-//                   linear scans; results are bit-identical, only slower)
-//   --no-neighbor-cache  disable the neighbor-row cache riding the grid
-//                   (every reachable query re-walks the grid cells;
-//                   results are bit-identical, only slower)
-//   --legacy-event-queue  run the simulator kernel on the original binary
-//                   heap instead of the calendar queue (bit-identical,
-//                   only slower; the event-engine escape hatch)
 //   --routing-policy greedy|regular  REFER intra-cell routing protocol
 //                   (default greedy, the paper's SIII-C2 shortest
 //                   paths; regular = Faber-Streib all-to-all walks
@@ -127,12 +119,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
       }
     } else if (arg == "--phase-profile") {
       opt.base.phase_profile = true;
-    } else if (arg == "--no-spatial-index") {
-      opt.base.spatial_index = false;
-    } else if (arg == "--no-neighbor-cache") {
-      opt.base.neighbor_cache = false;
-    } else if (arg == "--legacy-event-queue") {
-      opt.base.legacy_event_queue = true;
     } else if (arg == "--routing-policy") {
       const std::string value = string_value(i);
       if (!harness::parse_routing_policy(value, opt.base.routing_policy)) {

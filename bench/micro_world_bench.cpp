@@ -2,20 +2,19 @@
 // Theorem 3.8 route cache -- the two hot-path optimisations that keep
 // per-packet cost proportional to *degree* instead of deployment size.
 //
-// BM_ReachableFrom_{Linear,Grid} scale the deployment at constant density
-// (area side grows with sqrt(n)), so the per-query neighbour count stays
-// flat while n grows: the linear scan degrades with n, the grid should
-// not.  The acceptance bar is >= 5x at n = 1000.
+// BM_ReachableFrom scales the deployment at constant density (area side
+// grows with sqrt(n)), so the per-query neighbour count stays flat while
+// n grows: the per-query cost should stay flat too.
 //
 // BM_DisjointRoutes_{Uncached,Cached} replay a repeating working set of
 // (u, v) pairs, the traffic pattern real flows produce.
 //
-// BM_CsmaReserveTxSlot_* and BM_BroadcastReceivers_* drive the two
-// Channel paths that issue a geometric query per transmission (the CSMA
-// medium scan and broadcast receiver materialisation) through the real
-// event kernel, with the neighbor cache on and off.  Simulated time
-// advances with every send, so mobility re-bins and row rebuilds happen
-// at their natural rate -- the measured delta is the steady-state win.
+// BM_CsmaReserveTxSlot and BM_BroadcastReceivers drive the two Channel
+// paths that issue a geometric query per transmission (the CSMA medium
+// scan and broadcast receiver materialisation) through the real event
+// kernel.  Simulated time advances with every send, so mobility re-bins
+// and neighbor-row rebuilds happen at their natural rate.  A/B timings
+// of the index and cache belong to perfbench/compare.py.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -35,10 +34,9 @@ using sim::NodeId;
 /// The fig04/fig08 deployment shape at constant density: ~200 sensors per
 /// 500 m x 500 m, sensors i.i.d. around a quincunx of actuators.
 struct Fixture {
-  explicit Fixture(int n_sensors, bool spatial_index)
+  explicit Fixture(int n_sensors)
       : side(500.0 * std::sqrt(n_sensors / 200.0)),
         world({{0, 0}, {side, side}}, simulator) {
-    world.set_spatial_index_enabled(spatial_index);
     Rng rng(42);
     std::vector<NodeId> actuators;
     for (const Point p :
@@ -64,8 +62,8 @@ struct Fixture {
   sim::World world;
 };
 
-void bm_reachable_from(benchmark::State& state, bool spatial_index) {
-  Fixture fx(static_cast<int>(state.range(0)), spatial_index);
+void BM_ReachableFrom(benchmark::State& state) {
+  Fixture fx(static_cast<int>(state.range(0)));
   const auto n = static_cast<NodeId>(fx.world.size());
   NodeId from = 0;
   std::uint64_t visited = 0;
@@ -89,17 +87,10 @@ void bm_reachable_from(benchmark::State& state, bool spatial_index) {
                          benchmark::Counter::kAvgIterations);
 }
 
-void BM_ReachableFrom_Linear(benchmark::State& state) {
-  bm_reachable_from(state, /*spatial_index=*/false);
-}
-void BM_ReachableFrom_Grid(benchmark::State& state) {
-  bm_reachable_from(state, /*spatial_index=*/true);
-}
-BENCHMARK(BM_ReachableFrom_Linear)->Arg(250)->Arg(1000)->Arg(4000);
-BENCHMARK(BM_ReachableFrom_Grid)->Arg(250)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_ReachableFrom)->Arg(250)->Arg(1000)->Arg(4000);
 
-void bm_closest_actuator(benchmark::State& state, bool spatial_index) {
-  Fixture fx(static_cast<int>(state.range(0)), spatial_index);
+void BM_ClosestActuator(benchmark::State& state) {
+  Fixture fx(static_cast<int>(state.range(0)));
   const auto n = static_cast<NodeId>(fx.world.size());
   NodeId from = 0;
   for (auto _ : state) {
@@ -108,23 +99,13 @@ void bm_closest_actuator(benchmark::State& state, bool spatial_index) {
   }
 }
 
-void BM_ClosestActuator_Linear(benchmark::State& state) {
-  bm_closest_actuator(state, /*spatial_index=*/false);
-}
-void BM_ClosestActuator_Grid(benchmark::State& state) {
-  bm_closest_actuator(state, /*spatial_index=*/true);
-}
-BENCHMARK(BM_ClosestActuator_Linear)->Arg(1000)->Arg(4000);
-BENCHMARK(BM_ClosestActuator_Grid)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_ClosestActuator)->Arg(1000)->Arg(4000);
 
 /// Fixture + shared medium: the channel's CSMA scan and receiver
-/// materialisation both funnel through World::visit_reachable, so the
-/// cache toggle is the only variable between the paired benchmarks.
+/// materialisation both funnel through World::visit_reachable.
 struct ChannelFixture : Fixture {
-  ChannelFixture(int n_sensors, bool neighbor_cache)
-      : Fixture(n_sensors, /*spatial_index=*/true),
-        channel(simulator, world, energy, Rng(5)) {
-    world.set_neighbor_cache_enabled(neighbor_cache);
+  explicit ChannelFixture(int n_sensors)
+      : Fixture(n_sensors), channel(simulator, world, energy, Rng(5)) {
     energy.resize(world.size());
   }
 
@@ -132,8 +113,8 @@ struct ChannelFixture : Fixture {
   sim::Channel channel;
 };
 
-void bm_csma_unicast(benchmark::State& state, bool neighbor_cache) {
-  ChannelFixture fx(static_cast<int>(state.range(0)), neighbor_cache);
+void BM_CsmaReserveTxSlot(benchmark::State& state) {
+  ChannelFixture fx(static_cast<int>(state.range(0)));
   const auto n = static_cast<NodeId>(fx.world.size());
   NodeId from = 0;
   // A relay draining a 16-deep MAC queue -- the congested steady state
@@ -153,17 +134,10 @@ void bm_csma_unicast(benchmark::State& state, bool neighbor_cache) {
   benchmark::DoNotOptimize(fx.channel.stats().unicasts_sent);
 }
 
-void BM_CsmaReserveTxSlot_NoCache(benchmark::State& state) {
-  bm_csma_unicast(state, /*neighbor_cache=*/false);
-}
-void BM_CsmaReserveTxSlot_Cache(benchmark::State& state) {
-  bm_csma_unicast(state, /*neighbor_cache=*/true);
-}
-BENCHMARK(BM_CsmaReserveTxSlot_NoCache)->Arg(250)->Arg(1000)->Arg(4000);
-BENCHMARK(BM_CsmaReserveTxSlot_Cache)->Arg(250)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_CsmaReserveTxSlot)->Arg(250)->Arg(1000)->Arg(4000);
 
-void bm_broadcast_receivers(benchmark::State& state, bool neighbor_cache) {
-  ChannelFixture fx(static_cast<int>(state.range(0)), neighbor_cache);
+void BM_BroadcastReceivers(benchmark::State& state) {
+  ChannelFixture fx(static_cast<int>(state.range(0)));
   const auto n = static_cast<NodeId>(fx.world.size());
   NodeId from = 0;
   std::uint64_t received = 0;
@@ -181,14 +155,7 @@ void bm_broadcast_receivers(benchmark::State& state, bool neighbor_cache) {
                          benchmark::Counter::kAvgIterations);
 }
 
-void BM_BroadcastReceivers_NoCache(benchmark::State& state) {
-  bm_broadcast_receivers(state, /*neighbor_cache=*/false);
-}
-void BM_BroadcastReceivers_Cache(benchmark::State& state) {
-  bm_broadcast_receivers(state, /*neighbor_cache=*/true);
-}
-BENCHMARK(BM_BroadcastReceivers_NoCache)->Arg(250)->Arg(1000)->Arg(4000);
-BENCHMARK(BM_BroadcastReceivers_Cache)->Arg(250)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_BroadcastReceivers)->Arg(250)->Arg(1000)->Arg(4000);
 
 /// A working set of 64 (u, v) pairs replayed round-robin: what a handful
 /// of concurrent flows look like to a relay's route derivation.

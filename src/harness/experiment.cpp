@@ -119,11 +119,6 @@ struct Deployment {
                     .mac = sc.csma ? sim::MacMode::kCsma
                                    : sim::MacMode::kNullMac}),
         flooder(sim, world, channel) {
-    if (sc.legacy_event_queue) {
-      sim.set_engine(sim::QueueEngine::kLegacyHeap);
-    }
-    world.set_spatial_index_enabled(sc.spatial_index);
-    world.set_neighbor_cache_enabled(sc.neighbor_cache);
     place_actuators();
     place_sensors();
     energy.resize(world.size());
@@ -208,6 +203,8 @@ struct Deployment {
     switch (kind) {
       case SystemKind::kRefer: {
         core::ReferConfig config;
+        // Path queries reach one sensor hop, whatever the sensor range.
+        config.embedding.query_tx_range = scenario.sensor_range_m;
         config.router.planted_bug = scenario.planted_bug;
         config.router.policy = scenario.routing_policy == RoutingPolicy::kRegular
                                    ? core::RoutingPolicy::kRegular
@@ -363,9 +360,7 @@ class Driver {
     st.counter("sim.events_executed").set(dep_->sim.events_executed());
     st.counter("sim.peak_queue_depth").set(dep_->sim.peak_pending());
     // Closure-storage health: pooled_closures must stay 0 for every
-    // workload in the repo (the capture audit), and the counters are
-    // engine-independent -- the determinism tests compare them verbatim
-    // between the calendar queue and the legacy heap.
+    // workload in the repo (the capture audit).
     const sim::ClosurePool::Stats& cls = dep_->sim.closure_stats();
     st.counter("sim.closure.inline").set(cls.inline_closures);
     st.counter("sim.closure.pooled").set(cls.pooled_closures);
@@ -375,10 +370,10 @@ class Driver {
     st.counter("channel.unicasts_delivered").set(cs.unicasts_delivered);
     st.counter("channel.unicasts_failed").set(cs.unicasts_failed);
     st.counter("channel.broadcasts_sent").set(cs.broadcasts_sent);
-    // Spatial-index and neighbor-cache health (zeros when disabled).
-    // world.grid.* and world.neighbor_cache.* are the only observability
-    // entries that may differ between runs of the same scenario with
-    // different index/cache toggles -- everything else is bit-identical.
+    // Spatial-index and neighbor-cache health.  world.grid.* and
+    // world.neighbor_cache.* count host-side work that depends on the
+    // index and cache heuristics, not on simulated behaviour, so result
+    // comparisons (the CI baseline pin, perfbench digests) ignore them.
     const sim::World::IndexStats& gs = dep_->world.index_stats();
     st.counter("world.grid.queries").set(gs.queries);
     st.counter("world.grid.candidates").set(gs.candidates);

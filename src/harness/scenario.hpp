@@ -136,31 +136,11 @@ struct Scenario {
   /// the evaluated model); false = per-sender-only serialisation.
   bool csma = true;
 
-  /// Spatial grid index for the world's geometric queries (default on).
-  /// Results are bit-identical either way (proven by test); false restores
-  /// the O(n) linear scans for perf comparison.
-  bool spatial_index = true;
-
-  /// Neighbor-row cache riding the spatial index (default on; moot when
-  /// spatial_index is off): repeat reachable queries -- the CSMA medium
-  /// scan, broadcast receiver materialisation, routing next-hop scans --
-  /// reuse the grid's sorted candidate rows until a mobility re-bin
-  /// expires them.  Results are bit-identical either way (proven by
-  /// test); false (--no-neighbor-cache) is the perf escape hatch.
-  bool neighbor_cache = true;
-
   /// Intra-cell routing protocol of the REFER system (see RoutingPolicy
   /// above).  Greedy is the default so every pre-existing greedy figure
   /// reproduces bit-identically; baselines ignore it.  Serialized into
-  /// results + repro JSON (schema v5 / repro v4) and fuzzed like
-  /// neighbor_cache.
+  /// results + repro JSON (since schema v5 / repro v4) and fuzzed.
   RoutingPolicy routing_policy = RoutingPolicy::kGreedy;
-
-  /// Event-queue ablation: false (default) runs the simulator on the
-  /// calendar queue, true restores the original binary heap
-  /// (--legacy-event-queue).  Results are bit-identical either way
-  /// (proven by test, like spatial_index); only wall-clock differs.
-  bool legacy_event_queue = false;
 
   /// When > 0, the run carries a flight recorder (sim::TelemetryRecorder):
   /// RunMetrics::timeseries holds per-bucket series (throughput, delay

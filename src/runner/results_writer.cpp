@@ -264,10 +264,7 @@ void write_scenario(JsonWriter& w, const harness::Scenario& sc) {
   w.kv("app_fault_schedule", sc.app_fault_schedule);
   w.kv("seed", sc.seed);
   w.kv("csma", sc.csma);
-  w.kv("spatial_index", sc.spatial_index);
-  w.kv("neighbor_cache", sc.neighbor_cache);
   w.kv("routing_policy", harness::to_string(sc.routing_policy));
-  w.kv("legacy_event_queue", sc.legacy_event_queue);
   w.kv("timeline_bucket_s", sc.timeline_bucket_s);
   w.kv("phase_profile", sc.phase_profile);
   w.kv("trace_dir", sc.trace_dir);

@@ -2,6 +2,12 @@
 // run, so BENCH_*.json perf trajectories are first-class instead of
 // scraped ASCII tables.
 //
+// Schema (version 6; v5 minus the three retired perf switches: the
+// scenario object no longer carries the spatial-index, neighbor-cache
+// and event-queue toggles.  The grid index and neighbor cache are always
+// on and the kernel has one event queue; no toggle ever changed a
+// simulated result.)
+//
 // Schema (version 5; v4 + the routing-policy comparison surface: the
 // scenario gains "routing_policy" ("greedy" / "regular"), every metrics
 // block gains the fairness series "airtime_gini" / "airtime_max_min" /
@@ -69,7 +75,7 @@
 
 namespace refer::runner {
 
-inline constexpr int kResultsSchemaVersion = 5;
+inline constexpr int kResultsSchemaVersion = 6;
 
 /// `git describe --always --dirty` captured when the build was
 /// configured ("unknown" outside a git checkout).

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <string>
@@ -7,23 +8,32 @@
 #include "common/stats_registry.hpp"
 
 namespace refer::sim {
+namespace {
 
-void Simulator::set_engine(QueueEngine engine) {
-  assert(pending() == 0 &&
-         "switch engines before scheduling; pending events would not move");
-  engine_ = engine;
-}
+/// std::*_heap comparator: "less" sorts the (at, seq)-minimum to the
+/// front of the max-heap.
+struct RunsLater {
+  bool operator()(const Event& a, const Event& b) const noexcept {
+    if (a.at != b.at) return a.at > b.at;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
 
 void Simulator::schedule_event(Time at, const char* tag, EventClosure fn) {
   assert(at >= now_);
-  Event ev{at, next_seq_++, tag, std::move(fn)};
-  if (engine_ == QueueEngine::kCalendar) {
-    calendar_.push(std::move(ev));
-  } else {
-    heap_.push(std::move(ev));
-  }
-  const std::size_t depth = pending();
-  if (depth > peak_pending_) peak_pending_ = depth;
+  heap_.push_back(Event{at, next_seq_++, tag, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), RunsLater{});
+  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+}
+
+Event Simulator::pop_event() {
+  assert(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), RunsLater{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  return ev;
 }
 
 void Simulator::set_profiler(StatsRegistry* registry) {
@@ -60,7 +70,7 @@ void Simulator::execute(Event& ev) {
 }
 
 void Simulator::run_until(Time until) {
-  while (pending() != 0 && next_event_time() <= until) {
+  while (!heap_.empty() && heap_.front().at <= until) {
     // Pop before executing: the event may schedule more events.
     Event ev = pop_event();
     execute(ev);
@@ -69,14 +79,14 @@ void Simulator::run_until(Time until) {
 }
 
 void Simulator::run_all() {
-  while (pending() != 0) {
+  while (!heap_.empty()) {
     Event ev = pop_event();
     execute(ev);
   }
 }
 
 bool Simulator::step() {
-  if (pending() == 0) return false;
+  if (heap_.empty()) return false;
   Event ev = pop_event();
   execute(ev);
   return true;

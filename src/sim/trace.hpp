@@ -109,6 +109,23 @@ struct TraceRecord {
   std::string next_label;  ///< chosen successor's overlay label
 };
 
+/// A radio-frame or node-liveness record: no routing context.  (A brace
+/// initialiser that leaves out the label members trips
+/// -Wmissing-field-initializers on GCC 12, designated or not.)
+[[nodiscard]] inline TraceRecord frame_record(double t, TraceEvent event,
+                                              NodeId from, NodeId to,
+                                              std::size_t bytes,
+                                              EnergyBucket bucket) {
+  TraceRecord r;
+  r.t = t;
+  r.event = event;
+  r.from = from;
+  r.to = to;
+  r.bytes = bytes;
+  r.bucket = bucket;
+  return r;
+}
+
 /// Dispatch point; protocols and the channel emit through this.
 class Tracer {
  public:

@@ -61,9 +61,9 @@ void World::set_alive(NodeId id, bool alive) {
   assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
   auto& node = nodes_[static_cast<std::size_t>(id)];
   if (node.alive != alive && tracer_ && tracer_->enabled()) {
-    tracer_->emit({sim_->now(),
-                   alive ? TraceEvent::kNodeUp : TraceEvent::kNodeDown, id,
-                   -1, 0, EnergyBucket::kMaintenance});
+    tracer_->emit(frame_record(
+        sim_->now(), alive ? TraceEvent::kNodeUp : TraceEvent::kNodeDown, id,
+        -1, 0, EnergyBucket::kMaintenance));
   }
   node.alive = alive;
 }
@@ -93,11 +93,6 @@ std::vector<NodeId> World::all_of(NodeKind k) const {
     if (nodes_[static_cast<std::size_t>(i)].kind == k) out.push_back(i);
   }
   return out;
-}
-
-void World::set_spatial_index_enabled(bool enabled) {
-  if (enabled && !index_enabled_) index_dirty_ = true;
-  index_enabled_ = enabled;
 }
 
 int World::add_size_listener(std::function<void(std::size_t)> fn) {
@@ -181,7 +176,7 @@ void World::bin_node(NodeId id, Time now) {
 NodeId World::closest_actuator(NodeId id) {
   PhaseProfiler::Scope phase(phases_, Phase::kSpatialQuery);
   const Point p = position(id);
-  if (index_enabled_ && ensure_index()) {
+  if (ensure_index()) {
     // Ring search over the static actuator grid: every point of a
     // Chebyshev ring-k cell lies >= (k-1)*cell metres away, so once that
     // bound exceeds the best hit no farther ring can improve on it.
@@ -205,6 +200,7 @@ NodeId World::closest_actuator(NodeId id) {
     }
     return best;
   }
+  // No index can exist (every range zero): scan all actuators.
   NodeId best = -1;
   double best_d = std::numeric_limits<double>::infinity();
   for (NodeId i = 0; static_cast<std::size_t>(i) < nodes_.size(); ++i) {

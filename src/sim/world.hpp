@@ -3,18 +3,18 @@
 //
 // Geometric queries go through a uniform-grid SpatialIndex kept
 // incrementally consistent under random-waypoint mobility; results are
-// bit-identical to the linear scan (candidates are sorted into ascending
-// NodeId order and re-checked against exact live positions).
-// set_spatial_index_enabled(false) restores the O(n) scan -- the
-// property tests cross-check both paths.
+// bit-identical to a linear scan (candidates are sorted into ascending
+// NodeId order and re-checked against exact live positions).  The
+// property tests cross-check against a brute-force scan kept in tests/.
+// Only a world where no index can be built (every range zero) falls back
+// to scanning all nodes.
 //
 // On top of the grid sits a NeighborCache (sim/neighbor_cache.hpp): the
 // sorted candidate row of each (node, query radius) pair is remembered
 // and reused until any grid re-bin bumps a global epoch, turning repeat
 // queries -- the CSMA medium scan fires one per transmission -- into a
 // flat array walk.  The exact per-candidate check still runs on live
-// positions, so cached results stay bit-identical too;
-// set_neighbor_cache_enabled(false) is the escape hatch.
+// positions, so cached results stay bit-identical too.
 #pragma once
 
 #include <bit>
@@ -143,40 +143,37 @@ class World {
     if (!alive(from)) return;
     const Point p = position(from);
     const double r = range_override > 0 ? range_override : range(from);
-    if (index_enabled_ && ensure_index()) {
+    if (ensure_index()) {
       const Time now = sim_->now();
-      if (cache_enabled_) {
-        NeighborCache::Row row;
-        if (ncache_.lookup(from, r, row)) {
-          walk_row(row, from, p, r, now, fn);
-          return;
-        }
-        // Only pay for a row build when the previous build of this row
-        // earned its keep (see NeighborCache::should_fill); a workload
-        // that touches each row once per epoch -- every node broadcasting
-        // between re-bins -- is faster served by the plain scan below.
-        if (ncache_.should_fill(from, r)) {
-          ScratchPool::Lease lease = scratch_.acquire();
-          std::vector<NodeId>& buf = *lease;
-          // A row serves queries until the next re-bin.  Between its
-          // build and its last reuse the querying node and any true
-          // neighbour have each drifted at most `slack` from their
-          // binned anchors (the re-bin IS the moment that bound would
-          // break), so the build widens the radius by two slack budgets
-          // on top of collect()'s own binned-position expansion: the row
-          // stays a superset of every in-range set it serves, and the
-          // exact check in walk_row keeps results bit-identical to the
-          // uncached scan.
-          index_.collect(p, r + 2 * index_.slack(), buf);
-          sort_ids(buf);
-          index_stats_.queries += 1;
-          index_stats_.candidates += buf.size();
-          walk_row(
-              ncache_.store(from, r, buf,
-                            [this](NodeId j) { return index_.anchor(j); }),
-              from, p, r, now, fn);
-          return;
-        }
+      NeighborCache::Row row;
+      if (ncache_.lookup(from, r, row)) {
+        walk_row(row, from, p, r, now, fn);
+        return;
+      }
+      // Only pay for a row build when the previous build of this row
+      // earned its keep (see NeighborCache::should_fill); a workload
+      // that touches each row once per epoch -- every node broadcasting
+      // between re-bins -- is faster served by the plain scan below.
+      if (ncache_.should_fill(from, r)) {
+        ScratchPool::Lease lease = scratch_.acquire();
+        std::vector<NodeId>& buf = *lease;
+        // A row serves queries until the next re-bin.  Between its
+        // build and its last reuse the querying node and any true
+        // neighbour have each drifted at most `slack` from their binned
+        // anchors (the re-bin IS the moment that bound would break), so
+        // the build widens the radius by two slack budgets on top of
+        // collect()'s own binned-position expansion: the row stays a
+        // superset of every in-range set it serves, and the exact check
+        // in walk_row keeps results bit-identical to the plain scan.
+        index_.collect(p, r + 2 * index_.slack(), buf);
+        sort_ids(buf);
+        index_stats_.queries += 1;
+        index_stats_.candidates += buf.size();
+        walk_row(
+            ncache_.store(from, r, buf,
+                          [this](NodeId j) { return index_.anchor(j); }),
+            from, p, r, now, fn);
+        return;
       }
       ScratchPool::Lease lease = scratch_.acquire();
       std::vector<NodeId>& buf = *lease;
@@ -192,6 +189,7 @@ class World {
       }
       return;
     }
+    // No index can exist (every range zero): scan all nodes.
     for (NodeId i = 0; static_cast<std::size_t>(i) < nodes_.size(); ++i) {
       if (i == from || !alive(i)) continue;
       if (within_range(p, position(i), r)) fn(i);
@@ -212,23 +210,6 @@ class World {
   /// The alive actuator physically closest to `id` (or -1 if none).  Ties
   /// go to the lowest id, exactly like the linear scan.
   [[nodiscard]] NodeId closest_actuator(NodeId id);
-
-  /// Toggles the spatial index (on by default).  Off restores the O(n)
-  /// linear scans; results are bit-identical either way.
-  void set_spatial_index_enabled(bool enabled);
-  [[nodiscard]] bool spatial_index_enabled() const noexcept {
-    return index_enabled_;
-  }
-
-  /// Toggles the neighbor-row cache riding the spatial index (on by
-  /// default; moot while the index is off).  Results are bit-identical
-  /// either way -- this is the perf escape hatch, like the index toggle.
-  void set_neighbor_cache_enabled(bool enabled) noexcept {
-    cache_enabled_ = enabled;
-  }
-  [[nodiscard]] bool neighbor_cache_enabled() const noexcept {
-    return cache_enabled_;
-  }
 
   /// Cache health counters, exported as world.neighbor_cache.*
   /// observability.
@@ -306,7 +287,7 @@ class World {
   /// Exact filter pass shared by the cached fast path: ascending-id
   /// candidates settled by the anchor shortcut where the slack bound is
   /// decisive and re-checked against live positions in the remaining
-  /// annulus, so survivors match the uncached scan bit for bit.
+  /// annulus, so survivors match the plain scan bit for bit.
   /// Candidates are read back through
   /// (pool, index) rather than a raw pointer because `fn` may re-enter
   /// visit_reachable (flood handlers do) and the nested miss may append
@@ -363,10 +344,8 @@ class World {
   PhaseProfiler* phases_ = nullptr;
   std::vector<Node> nodes_;
 
-  bool index_enabled_ = true;
   bool index_dirty_ = true;
   bool index_usable_ = false;
-  bool cache_enabled_ = true;
   SpatialIndex index_;
   SpatialIndex actuator_index_;  ///< static, never revalidated
   NeighborCache ncache_;

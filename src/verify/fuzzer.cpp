@@ -57,8 +57,8 @@ harness::Scenario ScenarioFuzzer::generate(std::uint64_t seed) {
 
   // Kernel / harness toggles.
   sc.csma = rng.chance(0.9);
-  sc.spatial_index = rng.chance(0.9);
-  sc.legacy_event_queue = rng.chance(0.1);
+  (void)rng.chance(0.9);  // retired spatial-index draw; keeps seeds stable
+  (void)rng.chance(0.1);  // retired event-queue draw; keeps seeds stable
   sc.timeline_bucket_s = rng.chance(0.3) ? 5.0 : 0.0;
   sc.profile = rng.chance(0.25);
 
@@ -93,11 +93,7 @@ harness::Scenario ScenarioFuzzer::generate(std::uint64_t seed) {
     }
   }
 
-  // Neighbor cache escape hatch, fuzzed like legacy_event_queue: mostly
-  // on (the default), off often enough that the bit-identity contract
-  // between the cached and uncached scan stays exercised.  Appended
-  // after every pre-existing draw so old seeds reproduce unchanged.
-  sc.neighbor_cache = rng.chance(0.9);
+  (void)rng.chance(0.9);  // retired neighbor-cache draw; keeps seeds stable
 
   // Routing policy: a third of the cases ride the regular all-to-all
   // walks (kautz/regular.hpp) so the policy's invariants -- valid arc

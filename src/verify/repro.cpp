@@ -58,10 +58,7 @@ std::string to_repro_json(const ReproCase& repro) {
   // As a string: JSON numbers are doubles and drop seed bits past 2^53.
   w.kv("seed", std::to_string(sc.seed));
   w.kv("csma", sc.csma);
-  w.kv("spatial_index", sc.spatial_index);
-  w.kv("neighbor_cache", sc.neighbor_cache);
   w.kv("routing_policy", harness::to_string(sc.routing_policy));
-  w.kv("legacy_event_queue", sc.legacy_event_queue);
   w.kv("timeline_bucket_s", sc.timeline_bucket_s);
   w.kv("phase_profile", sc.phase_profile);
   w.kv("profile", sc.profile);
@@ -213,9 +210,6 @@ std::optional<ReproCase> load_repro(const std::string& path) {
   }
   r.string("seed", seed);
   r.boolean("csma", sc.csma);
-  r.boolean("spatial_index", sc.spatial_index);
-  // Added mid-version-3: older repro files simply predate the flag.
-  r.optional_boolean("neighbor_cache", sc.neighbor_cache);
   if (version >= 4) {
     std::string policy;
     r.string("routing_policy", policy);
@@ -224,7 +218,6 @@ std::optional<ReproCase> load_repro(const std::string& path) {
       r.fail("routing_policy", "expected \"greedy\" or \"regular\"");
     }
   }
-  r.boolean("legacy_event_queue", sc.legacy_event_queue);
   r.number("timeline_bucket_s", sc.timeline_bucket_s);
   // Added mid-version-3: older repro files simply predate the flag.
   r.optional_boolean("phase_profile", sc.phase_profile);

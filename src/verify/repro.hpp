@@ -17,7 +17,7 @@
 
 namespace refer::verify {
 
-// v2: adds the scenario's legacy_event_queue kernel toggle.
+// v2: adds the scenario's event-queue kernel toggle.
 // v3: adds the closed-loop app layer's eight app_* scenario knobs
 //     (src/app).  load_repro still reads v2 files -- the app fields
 //     then keep their defaults (app_enabled = false).
@@ -25,7 +25,10 @@ namespace refer::verify {
 //     Scenario::routing_policy).  v2 / v3 files stay loadable -- the
 //     policy then keeps its default (greedy), which is what every
 //     pre-v4 run used.
-inline constexpr int kReproVersion = 4;
+// v5: drops the three retired perf switches (spatial index, neighbor
+//     cache, event queue).  v2-v4 files stay loadable; their switch
+//     keys are ignored (no switch ever changed a result).
+inline constexpr int kReproVersion = 5;
 
 struct ReproCase {
   harness::SystemKind kind = harness::SystemKind::kRefer;

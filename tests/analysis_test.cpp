@@ -623,7 +623,7 @@ TEST(TimelineReport, LocalizesScriptedActuatorFaultDip) {
   writer.add_records({rec});
   const auto doc = load_timeline_doc(writer.to_json());
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->schema_version, 5);
+  EXPECT_EQ(doc->schema_version, 6);
   ASSERT_EQ(doc->jobs.size(), 1u);
   EXPECT_TRUE(doc->jobs[0].v4);
 

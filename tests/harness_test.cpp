@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "harness/experiment.hpp"
@@ -240,6 +242,48 @@ TEST(Harness, StripActuatorPlacementWorks) {
   sc.measure_s = 15;
   const RunMetrics m = run_once(SystemKind::kRefer, sc);
   EXPECT_TRUE(m.build_ok) << "zig-zag strip must embed";
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(ScaleInvariance, DoublingLengthsAndSpeedsKeepsTracesByteIdentical) {
+  // Doubling every length and speed is exact in IEEE arithmetic, and the
+  // grid, slack and cell sizes are all relative, so every system must
+  // make the same decisions at the same times.  An absolute constant
+  // (such as a path-query power fixed in metres) breaks this.
+  Scenario base;
+  base.n_sensors = 120;
+  base.warmup_s = 5;
+  base.measure_s = 20;
+  base.faulty_nodes = 4;
+  base.seed = 7;
+  Scenario doubled = base;
+  doubled.area_side_m *= 2;
+  doubled.sensor_spread_m *= 2;
+  doubled.sensor_range_m *= 2;
+  doubled.actuator_range_m *= 2;
+  doubled.min_speed_mps *= 2;
+  doubled.max_speed_mps *= 2;
+
+  for (const SystemKind kind : kAllSystems) {
+    const std::string stem =
+        ::testing::TempDir() + "scale_" + to_string(kind);
+    base.trace_path = stem + "_x1.jsonl";
+    doubled.trace_path = stem + "_x2.jsonl";
+    ASSERT_TRUE(run_once(kind, base).build_ok) << to_string(kind);
+    ASSERT_TRUE(run_once(kind, doubled).build_ok) << to_string(kind);
+    const std::string once = read_file(base.trace_path);
+    ASSERT_FALSE(once.empty()) << to_string(kind);
+    EXPECT_TRUE(once == read_file(doubled.trace_path))
+        << to_string(kind) << " traces diverge under doubling";
+    std::remove(base.trace_path.c_str());
+    std::remove(doubled.trace_path.c_str());
+  }
 }
 
 }  // namespace

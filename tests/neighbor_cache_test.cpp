@@ -1,16 +1,18 @@
 // The neighbor cache's one non-negotiable contract: cached reachable
-// queries return *exactly* what the uncached grid scan (and the linear
-// scan) returns -- same ids, same order -- on mobile worlds, across row
-// reuse, node kills and range overrides.  Plus the epoch/counter
-// semantics, the zero-steady-state-allocation pin on the cached scan
-// path, and the end-to-end determinism proof (a full scenario run with
-// the cache on vs. off produces identical RunMetrics).
+// queries return *exactly* what the brute-force scan in world_oracle.hpp
+// returns -- same ids, same order -- on mobile worlds, across row reuse,
+// skipped fills, node kills and range overrides.  Plus the epoch/counter
+// semantics and the zero-steady-state-allocation pin on the cached scan
+// path.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "sim/neighbor_cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/world.hpp"
+#include "world_oracle.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
@@ -113,7 +116,6 @@ TEST(NeighborCacheProperty, CachedMatchesUncachedOnRandomMobileWorlds) {
         const double range_override =
             rw.rng.chance(0.3) ? rw.rng.uniform(30, 400) : 0;
 
-        world.set_neighbor_cache_enabled(true);
         const std::vector<NodeId> cached =
             world.reachable_from(from, range_override);
         // Same (from, range) again within the same epoch: a guaranteed
@@ -121,31 +123,11 @@ TEST(NeighborCacheProperty, CachedMatchesUncachedOnRandomMobileWorlds) {
         ASSERT_EQ(cached, world.reachable_from(from, range_override))
             << "seed=" << seed << " t=" << t << " from=" << from
             << " override=" << range_override;
-
-        // The cache toggle leaves rows (and the index) untouched, so
-        // hits accumulate across iterations.
-        world.set_neighbor_cache_enabled(false);
-        const std::vector<NodeId> uncached =
-            world.reachable_from(from, range_override);
-        world.set_neighbor_cache_enabled(true);
-
-        ASSERT_EQ(cached, uncached)
+        // The oracle reads positions only, so rows (and the index) are
+        // left untouched and hits accumulate across iterations.
+        ASSERT_EQ(cached, test::reachable(world, from, range_override))
             << "seed=" << seed << " t=" << t << " from=" << from
             << " override=" << range_override;
-
-        if (rw.rng.chance(0.3)) {
-          // The linear cross-check costs more than the others: turning
-          // the index back on forces a rebuild, so every cached row is
-          // rebuilt afterwards.  Sampling it keeps real row *reuse* in
-          // the mix -- the property this test is really about.
-          world.set_spatial_index_enabled(false);
-          const std::vector<NodeId> linear =
-              world.reachable_from(from, range_override);
-          world.set_spatial_index_enabled(true);
-          ASSERT_EQ(cached, linear)
-              << "seed=" << seed << " t=" << t << " from=" << from
-              << " override=" << range_override;
-        }
       }
     }
     total_hits += world.neighbor_cache_stats().hits;
@@ -182,6 +164,102 @@ TEST(NeighborCacheProperty, KillsNeedNoInvalidationToStayExact) {
 
   world.set_alive(victim, true);
   EXPECT_EQ(world.reachable_from(1), before);
+}
+
+TEST(NeighborCacheProperty, ReentrantQueriesStayExact) {
+  // Flood handlers query the world from inside a visit: the nested
+  // queries fill rows into the same pools the outer walk is reading, and
+  // may relocate them.  Both levels must still match the oracle.
+  int nested = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Simulator sim;
+    RandomWorld rw(seed * 97 + 5, sim);
+    sim::World& world = *rw.world;
+    double t = 0;
+    for (int step = 0; step < 4; ++step) {
+      sim.run_until(t += rw.rng.uniform(0, 2));
+      for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
+           from += 3) {
+        const double outer_range =
+            rw.rng.chance(0.5) ? 0 : rw.rng.uniform(30, 400);
+        std::vector<NodeId> outer;
+        world.visit_reachable(
+            from,
+            [&](NodeId j) {
+              outer.push_back(j);
+              const double inner_range =
+                  rw.rng.chance(0.5) ? 0 : rw.rng.uniform(30, 400);
+              ASSERT_EQ(world.reachable_from(j, inner_range),
+                        test::reachable(world, j, inner_range))
+                  << "seed=" << seed << " t=" << t << " inner=" << j;
+              ++nested;
+            },
+            outer_range);
+        ASSERT_EQ(outer, test::reachable(world, from, outer_range))
+            << "seed=" << seed << " t=" << t << " from=" << from;
+      }
+    }
+  }
+  EXPECT_GT(nested, 1000);
+}
+
+/// Run observer that, every 0.25 s of simulated time, compares every
+/// node's reachable set and closest actuator with the brute-force scan,
+/// so rows built by real protocol traffic are read back and checked.
+class OracleProbe : public harness::RunObserver {
+ public:
+  void on_run_start(const harness::RunContext& ctx) override {
+    sim_ = ctx.sim;
+    world_ = ctx.world;
+    schedule();
+  }
+
+  int probes = 0;
+  std::string mismatch;
+
+ private:
+  void schedule() {
+    sim_->schedule_in(0.25, [this] {
+      ++probes;
+      for (NodeId i = 0; static_cast<std::size_t>(i) < world_->size(); ++i) {
+        if (!mismatch.empty()) break;
+        if (world_->reachable_from(i) != test::reachable(*world_, i) ||
+            world_->closest_actuator(i) != test::closest_actuator(*world_, i)) {
+          mismatch = "node " + std::to_string(i) + " at t=" +
+                     std::to_string(sim_->now());
+        }
+      }
+      if (probes < 160) schedule();
+    });
+  }
+
+  sim::Simulator* sim_ = nullptr;
+  sim::World* world_ = nullptr;
+};
+
+TEST(NeighborCacheProperty, RealRunsMatchTheBruteForceScan) {
+  // Mobility, fault churn, floods and saturated CSMA scans fill the rows
+  // here, not a test loop; both routing policies query differently.
+  harness::Scenario sc;
+  sc.n_sensors = 110;
+  sc.warmup_s = 5;
+  sc.measure_s = 30;
+  sc.faulty_nodes = 4;
+  sc.packets_per_second = 40;
+  sc.seed = 29;
+  for (const auto& [kind, policy] :
+       {std::pair{harness::SystemKind::kRefer, harness::RoutingPolicy::kGreedy},
+        std::pair{harness::SystemKind::kRefer,
+                  harness::RoutingPolicy::kRegular},
+        std::pair{harness::SystemKind::kKautzOverlay,
+                  harness::RoutingPolicy::kGreedy}}) {
+    sc.routing_policy = policy;
+    OracleProbe probe;
+    sc.observer = &probe;
+    ASSERT_TRUE(harness::run_once(kind, sc).build_ok);
+    EXPECT_EQ(probe.mismatch, "") << harness::to_string(kind);
+    EXPECT_GE(probe.probes, 100) << harness::to_string(kind);
+  }
 }
 
 TEST(NeighborCacheCounters, HitsRebuildsAndInvalidationsTrackEpochs) {
@@ -282,7 +360,7 @@ TEST(NeighborCacheProperty, SkippedFillsStayExact) {
   // The broadcast shape that motivated the heuristic: every node queries
   // once per epoch, so no row is ever reused and -- after the first
   // epoch -- every fill is skipped.  Skipped queries run the plain grid
-  // scan and must stay bit-identical to the cache-off path.
+  // scan and must stay bit-identical to the brute-force scan.
   sim::Simulator sim;
   sim::World world(Rect{{0, 0}, {600, 600}}, sim);
   Rng rng(23);
@@ -295,11 +373,8 @@ TEST(NeighborCacheProperty, SkippedFillsStayExact) {
     sim.run_until(t += 30);  // past every slack deadline: forces a re-bin
     for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
          ++from) {
-      const std::vector<NodeId> cached = world.reachable_from(from);
-      world.set_neighbor_cache_enabled(false);
-      const std::vector<NodeId> uncached = world.reachable_from(from);
-      world.set_neighbor_cache_enabled(true);
-      ASSERT_EQ(cached, uncached) << "epoch=" << epoch << " from=" << from;
+      ASSERT_EQ(world.reachable_from(from), test::reachable(world, from))
+          << "epoch=" << epoch << " from=" << from;
     }
   }
   EXPECT_GT(world.neighbor_cache_stats().skipped_fills, 0u);
@@ -393,109 +468,6 @@ TEST(NeighborCacheSteadyState, RowRebuildsRecyclePoolsWithoutAllocating) {
   });
   EXPECT_EQ(allocs, 0u)
       << "epoch turnover must recycle pools, not reallocate them";
-}
-
-/// Strips the world.grid.* and world.neighbor_cache.* health counters --
-/// the only observability entries allowed to differ between runs with
-/// different index/cache toggles.
-std::vector<StatsRegistry::Entry> without_toggle_counters(
-    std::vector<StatsRegistry::Entry> entries) {
-  std::erase_if(entries, [](const StatsRegistry::Entry& e) {
-    return e.name.rfind("world.grid.", 0) == 0 ||
-           e.name.rfind("world.neighbor_cache.", 0) == 0;
-  });
-  return entries;
-}
-
-void expect_identical_runs(const harness::RunMetrics& on,
-                           const harness::RunMetrics& off) {
-  ASSERT_TRUE(on.build_ok);
-  ASSERT_TRUE(off.build_ok);
-  EXPECT_EQ(on.packets_sent, off.packets_sent);
-  EXPECT_EQ(on.packets_delivered, off.packets_delivered);
-  EXPECT_EQ(on.qos_delivered, off.qos_delivered);
-  EXPECT_EQ(on.qos_throughput_kbps, off.qos_throughput_kbps);
-  EXPECT_EQ(on.avg_delay_ms, off.avg_delay_ms);
-  EXPECT_EQ(on.delay_p50_ms, off.delay_p50_ms);
-  EXPECT_EQ(on.delay_p95_ms, off.delay_p95_ms);
-  EXPECT_EQ(on.delay_p99_ms, off.delay_p99_ms);
-  EXPECT_EQ(on.delivery_ratio, off.delivery_ratio);
-  EXPECT_EQ(on.comm_energy_j, off.comm_energy_j);
-  EXPECT_EQ(on.construction_energy_j, off.construction_energy_j);
-  EXPECT_EQ(on.total_energy_j, off.total_energy_j);
-  EXPECT_EQ(on.qos_timeline_kbps, off.qos_timeline_kbps);
-
-  const auto obs_on = without_toggle_counters(on.observability);
-  const auto obs_off = without_toggle_counters(off.observability);
-  ASSERT_EQ(obs_on.size(), obs_off.size());
-  for (std::size_t i = 0; i < obs_on.size(); ++i) {
-    EXPECT_EQ(obs_on[i].name, obs_off[i].name);
-    EXPECT_EQ(obs_on[i].count, obs_off[i].count) << obs_on[i].name;
-    EXPECT_EQ(obs_on[i].sum, obs_off[i].sum) << obs_on[i].name;
-    EXPECT_EQ(obs_on[i].p50, obs_off[i].p50) << obs_on[i].name;
-    EXPECT_EQ(obs_on[i].p99, obs_off[i].p99) << obs_on[i].name;
-  }
-}
-
-TEST(NeighborCacheDeterminism, Fig04ScenarioIdenticalWithCacheOnAndOff) {
-  harness::Scenario sc;
-  sc.n_sensors = 120;
-  sc.warmup_s = 5;
-  sc.measure_s = 25;
-  sc.faulty_nodes = 5;  // liveness churn on top of mobility
-  sc.seed = 9;
-
-  for (const harness::SystemKind kind :
-       {harness::SystemKind::kRefer, harness::SystemKind::kKautzOverlay}) {
-    sc.neighbor_cache = true;
-    const harness::RunMetrics on = harness::run_once(kind, sc);
-    sc.neighbor_cache = false;
-    const harness::RunMetrics off = harness::run_once(kind, sc);
-    expect_identical_runs(on, off);
-  }
-}
-
-TEST(NeighborCacheDeterminism, HoldsOnTheLegacyEventQueueToo) {
-  harness::Scenario sc;
-  sc.n_sensors = 100;
-  sc.warmup_s = 5;
-  sc.measure_s = 20;
-  sc.faulty_nodes = 4;
-  sc.seed = 17;
-  sc.legacy_event_queue = true;
-
-  sc.neighbor_cache = true;
-  const harness::RunMetrics on =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  sc.neighbor_cache = false;
-  const harness::RunMetrics off =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  expect_identical_runs(on, off);
-}
-
-TEST(NeighborCacheDeterminism, HoldsUnderTheRegularRoutingPolicy) {
-  // The regular-routing walks route different packets over different
-  // arcs than greedy, changing which neighbourhoods get queried -- the
-  // cache (and its staleness heuristic) must stay invisible there too,
-  // on both event queues.
-  harness::Scenario sc;
-  sc.n_sensors = 110;
-  sc.warmup_s = 5;
-  sc.measure_s = 20;
-  sc.faulty_nodes = 4;
-  sc.seed = 29;
-  sc.routing_policy = harness::RoutingPolicy::kRegular;
-
-  for (const bool legacy_queue : {false, true}) {
-    sc.legacy_event_queue = legacy_queue;
-    sc.neighbor_cache = true;
-    const harness::RunMetrics on =
-        harness::run_once(harness::SystemKind::kRefer, sc);
-    sc.neighbor_cache = false;
-    const harness::RunMetrics off =
-        harness::run_once(harness::SystemKind::kRefer, sc);
-    expect_identical_runs(on, off);
-  }
 }
 
 }  // namespace

@@ -1,21 +1,20 @@
 // The spatial index's one non-negotiable contract: grid-indexed queries
-// return *exactly* what the linear scan returns -- same ids, same order,
-// same ties -- on mobile worlds at arbitrary times.  Plus the route-cache
-// equivalence and the end-to-end determinism proof (a full scenario run
-// with the index on vs. off produces identical RunMetrics).
+// return *exactly* what a linear scan returns -- same ids, same order,
+// same ties -- on mobile worlds at arbitrary times.  The linear scan is
+// the brute-force oracle in world_oracle.hpp.  Plus the route-cache
+// equivalence.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "harness/experiment.hpp"
 #include "kautz/graph.hpp"
 #include "kautz/route_cache.hpp"
 #include "kautz/routing.hpp"
 #include "sim/simulator.hpp"
 #include "sim/spatial_index.hpp"
 #include "sim/world.hpp"
+#include "world_oracle.hpp"
 
 namespace refer {
 namespace {
@@ -62,7 +61,7 @@ TEST(SpatialIndexProperty, GridMatchesLinearScanOnRandomMobileWorlds) {
     RandomWorld rw(seed * 2654435761u + 11, sim);
     sim::World& world = *rw.world;
     // Advance to a few monotonically increasing random times; query at
-    // each with both paths and compare exactly.
+    // each and compare with the oracle exactly.
     double t = 0;
     for (int step = 0; step < 3; ++step, ++samples) {
       t += rw.rng.uniform(0, 40);
@@ -72,15 +71,12 @@ TEST(SpatialIndexProperty, GridMatchesLinearScanOnRandomMobileWorlds) {
         const double range_override =
             rw.rng.chance(0.3) ? rw.rng.uniform(30, 400) : 0;
 
-        world.set_spatial_index_enabled(true);
         const std::vector<NodeId> grid =
             world.reachable_from(from, range_override);
         const NodeId grid_act = world.closest_actuator(from);
-
-        world.set_spatial_index_enabled(false);
         const std::vector<NodeId> linear =
-            world.reachable_from(from, range_override);
-        const NodeId linear_act = world.closest_actuator(from);
+            test::reachable(world, from, range_override);
+        const NodeId linear_act = test::closest_actuator(world, from);
 
         ASSERT_EQ(grid, linear)
             << "seed=" << seed << " t=" << t << " from=" << from
@@ -109,13 +105,9 @@ TEST(SpatialIndexProperty, SurvivesLivenessFlipsAndLateNodeAdds) {
   sim.run_until(9);
   for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
        ++from) {
-    world.set_spatial_index_enabled(true);
-    const auto grid = world.reachable_from(from);
-    world.set_spatial_index_enabled(false);
-    const auto linear = world.reachable_from(from);
-    ASSERT_EQ(grid, linear) << "from=" << from;
+    ASSERT_EQ(world.reachable_from(from), test::reachable(world, from))
+        << "from=" << from;
   }
-  world.set_spatial_index_enabled(true);
   EXPECT_EQ(world.closest_actuator(late), 0);
   EXPECT_GE(world.index_stats().rebuilds, 1u);
 }
@@ -136,14 +128,11 @@ TEST(SpatialIndexEdgeCases, NodesExactlyOnCellBoundariesMatchLinearScan) {
   }
   for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
        ++from) {
-    world.set_spatial_index_enabled(true);
     const auto grid = world.reachable_from(from);
-    const NodeId grid_act = world.closest_actuator(from);
-    world.set_spatial_index_enabled(false);
-    const auto linear = world.reachable_from(from);
-    const NodeId linear_act = world.closest_actuator(from);
-    ASSERT_EQ(grid, linear) << "from=" << from;
-    ASSERT_EQ(grid_act, linear_act) << "from=" << from;
+    ASSERT_EQ(grid, test::reachable(world, from)) << "from=" << from;
+    ASSERT_EQ(world.closest_actuator(from),
+              test::closest_actuator(world, from))
+        << "from=" << from;
     // Neighbours at exactly 100 m (one range) are in range: the grid on
     // a 75 m pitch guarantees none, but the axis-aligned 75 m and
     // diagonal ~106 m neighbours pin both sides of the boundary.
@@ -157,10 +146,8 @@ TEST(SpatialIndexEdgeCases, ExactRangeDistanceIsInRangeOnBothPaths) {
   const NodeId a = world.add_static_sensor({100, 100}, 100);
   const NodeId b = world.add_static_sensor({200, 100}, 100);  // d == range
   const NodeId c = world.add_static_sensor({201, 100}, 100);  // d > range
-  world.set_spatial_index_enabled(true);
   EXPECT_EQ(world.reachable_from(a), (std::vector<NodeId>{b}));
-  world.set_spatial_index_enabled(false);
-  EXPECT_EQ(world.reachable_from(a), (std::vector<NodeId>{b}));
+  EXPECT_EQ(test::reachable(world, a), (std::vector<NodeId>{b}));
   EXPECT_TRUE(world.can_reach(a, b));
   EXPECT_FALSE(world.can_reach(a, c));
 }
@@ -174,7 +161,6 @@ TEST(SpatialIndexEdgeCases, ZeroRangeWorldFallsBackToLinearScan) {
   const NodeId a = world.add_static_sensor({10, 10}, 0);
   const NodeId b = world.add_static_sensor({10, 10}, 0);  // co-located
   world.add_static_sensor({20, 10}, 0);
-  world.set_spatial_index_enabled(true);
   EXPECT_EQ(world.reachable_from(a), (std::vector<NodeId>{b}));
   EXPECT_EQ(world.closest_actuator(a), -1);
   EXPECT_EQ(world.index_stats().rebuilds, 0u)
@@ -190,14 +176,12 @@ TEST(SpatialIndexEdgeCases, ZeroRangeNodeAmongRangedNodesSeesOnlyCoLocated) {
   const NodeId mute = world.add_static_sensor({50, 50}, 0);
   const NodeId twin = world.add_static_sensor({50, 50}, 80);
   world.add_static_sensor({60, 50}, 80);
-  for (const bool indexed : {true, false}) {
-    world.set_spatial_index_enabled(indexed);
-    // Range 0 reaches exactly the co-located node on either path.
-    EXPECT_EQ(world.reachable_from(mute), (std::vector<NodeId>{twin}))
-        << "indexed=" << indexed;
-    // And the ranged nodes still see the zero-range node.
-    EXPECT_EQ(world.reachable_from(twin).size(), 2u) << "indexed=" << indexed;
-  }
+  // Range 0 reaches exactly the co-located node, as in the linear scan.
+  EXPECT_EQ(world.reachable_from(mute), (std::vector<NodeId>{twin}));
+  EXPECT_EQ(test::reachable(world, mute), (std::vector<NodeId>{twin}));
+  // And the ranged nodes still see the zero-range node.
+  EXPECT_EQ(world.reachable_from(twin).size(), 2u);
+  EXPECT_EQ(world.reachable_from(twin), test::reachable(world, twin));
 }
 
 TEST(SpatialIndexEdgeCases, SizeListenerSeesEveryLateAddUntilRemoved) {
@@ -267,62 +251,6 @@ TEST(RouteCache, AgreesWithDisjointRoutesAndCountsHits) {
   }
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_GT(cache.misses(), 0u);
-}
-
-/// Strips the world.grid.* and world.neighbor_cache.* health counters --
-/// the only observability entries allowed to differ between runs with
-/// different index/cache toggles.
-std::vector<StatsRegistry::Entry> without_grid_counters(
-    std::vector<StatsRegistry::Entry> entries) {
-  std::erase_if(entries, [](const StatsRegistry::Entry& e) {
-    return e.name.rfind("world.grid.", 0) == 0 ||
-           e.name.rfind("world.neighbor_cache.", 0) == 0;
-  });
-  return entries;
-}
-
-TEST(SpatialIndexDeterminism, Fig04ScenarioIdenticalWithIndexOnAndOff) {
-  harness::Scenario sc;
-  sc.n_sensors = 120;
-  sc.warmup_s = 5;
-  sc.measure_s = 25;
-  sc.faulty_nodes = 5;  // liveness churn on top of mobility
-  sc.seed = 9;
-
-  for (const harness::SystemKind kind :
-       {harness::SystemKind::kRefer, harness::SystemKind::kKautzOverlay}) {
-    sc.spatial_index = true;
-    const harness::RunMetrics on = harness::run_once(kind, sc);
-    sc.spatial_index = false;
-    const harness::RunMetrics off = harness::run_once(kind, sc);
-
-    ASSERT_TRUE(on.build_ok);
-    ASSERT_TRUE(off.build_ok);
-    EXPECT_EQ(on.packets_sent, off.packets_sent);
-    EXPECT_EQ(on.packets_delivered, off.packets_delivered);
-    EXPECT_EQ(on.qos_delivered, off.qos_delivered);
-    EXPECT_EQ(on.qos_throughput_kbps, off.qos_throughput_kbps);
-    EXPECT_EQ(on.avg_delay_ms, off.avg_delay_ms);
-    EXPECT_EQ(on.delay_p50_ms, off.delay_p50_ms);
-    EXPECT_EQ(on.delay_p95_ms, off.delay_p95_ms);
-    EXPECT_EQ(on.delay_p99_ms, off.delay_p99_ms);
-    EXPECT_EQ(on.delivery_ratio, off.delivery_ratio);
-    EXPECT_EQ(on.comm_energy_j, off.comm_energy_j);
-    EXPECT_EQ(on.construction_energy_j, off.construction_energy_j);
-    EXPECT_EQ(on.total_energy_j, off.total_energy_j);
-    EXPECT_EQ(on.qos_timeline_kbps, off.qos_timeline_kbps);
-
-    const auto obs_on = without_grid_counters(on.observability);
-    const auto obs_off = without_grid_counters(off.observability);
-    ASSERT_EQ(obs_on.size(), obs_off.size());
-    for (std::size_t i = 0; i < obs_on.size(); ++i) {
-      EXPECT_EQ(obs_on[i].name, obs_off[i].name);
-      EXPECT_EQ(obs_on[i].count, obs_off[i].count) << obs_on[i].name;
-      EXPECT_EQ(obs_on[i].sum, obs_off[i].sum) << obs_on[i].name;
-      EXPECT_EQ(obs_on[i].p50, obs_off[i].p50) << obs_on[i].name;
-      EXPECT_EQ(obs_on[i].p99, obs_off[i].p99) << obs_on[i].name;
-    }
-  }
 }
 
 }  // namespace

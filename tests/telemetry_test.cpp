@@ -1,7 +1,7 @@
 // Flight-recorder tests (sim/telemetry.hpp): bucket-edge semantics, the
 // zero-steady-state-allocation contract (counted by a global operator
-// new hook, the PR-5 bar), determinism contracts (serial vs parallel,
-// calendar vs legacy queue, telemetry on vs off), and the schema v3 ->
+// new hook), determinism contracts (serial vs parallel, telemetry on vs
+// off, phase profiler on vs off), and the schema v3 ->
 // v4 golden regression: qos_timeline_kbps re-derived from the v4
 // timeseries must reproduce the seed repo's v3 values bit for bit.
 #include <atomic>
@@ -194,19 +194,6 @@ TEST(TelemetryDeterminism, SerialVsParallelBitIdentical) {
     expect_timeseries_eq(serial.records()[i].metrics.timeseries,
                          parallel.records()[i].metrics.timeseries);
   }
-}
-
-TEST(TelemetryDeterminism, CalendarVsLegacyQueueBitIdentical) {
-  harness::Scenario sc = timeline_scenario();
-  const harness::RunMetrics calendar =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  sc.legacy_event_queue = true;
-  const harness::RunMetrics legacy =
-      harness::run_once(harness::SystemKind::kRefer, sc);
-  ASSERT_TRUE(calendar.build_ok);
-  ASSERT_TRUE(legacy.build_ok);
-  expect_timeseries_eq(calendar.timeseries, legacy.timeseries);
-  EXPECT_EQ(calendar.qos_timeline_kbps, legacy.qos_timeline_kbps);
 }
 
 TEST(TelemetryDeterminism, RecorderDoesNotPerturbDeliveryMetrics) {

@@ -183,7 +183,7 @@ TEST(Repro, StillLoadsVersion2FilesWithAppDefaults) {
     ASSERT_NE(at, std::string::npos) << from;
     doc.replace(at, from.size(), to);
   };
-  replace("\"repro_version\":4", "\"repro_version\":2");
+  replace("\"repro_version\":5", "\"repro_version\":2");
   replace("\"routing_policy\":\"greedy\",", "");
   const std::size_t app_from = doc.find("\"app_enabled\"");
   const std::size_t app_to = doc.find("\"seed\"");
@@ -210,6 +210,36 @@ TEST(Repro, StillLoadsVersion2FilesWithAppDefaults) {
   EXPECT_EQ(loaded->scenario.seed, repro.scenario.seed);
   EXPECT_EQ(loaded->scenario.n_sensors, repro.scenario.n_sensors);
   EXPECT_EQ(loaded->scenario.measure_s, repro.scenario.measure_s);
+  std::remove(path.c_str());
+}
+
+TEST(Repro, StillLoadsVersion4FilesWithRetiredSwitchKeys) {
+  // v4 files carry the since-retired perf switches next to "csma"; the
+  // loader ignores them (no switch ever changed a result) and the
+  // scenario otherwise round-trips unchanged.
+  ReproCase repro;
+  repro.kind = harness::SystemKind::kDaTree;
+  repro.scenario = ScenarioFuzzer::generate(11);
+  std::string doc = to_repro_json(repro);
+  const auto replace = [&doc](const std::string& from,
+                              const std::string& to) {
+    const std::size_t at = doc.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    doc.replace(at, from.size(), to);
+  };
+  replace("\"repro_version\":5", "\"repro_version\":4");
+  replace("\"routing_policy\":",
+          "\"spatial_index\":false,\"neighbor_cache\":false,"
+          "\"routing_policy\":");
+
+  const std::string path = temp_path("verify_v4_compat.json");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(doc.c_str(), f);
+  std::fclose(f);
+  const auto loaded = load_repro(path);
+  ASSERT_TRUE(loaded.has_value()) << doc;
+  EXPECT_EQ(to_repro_json(*loaded), to_repro_json(repro));
   std::remove(path.c_str());
 }
 
