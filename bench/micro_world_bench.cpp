@@ -13,8 +13,11 @@
 // paths that issue a geometric query per transmission (the CSMA medium
 // scan and broadcast receiver materialisation) through the real event
 // kernel.  Simulated time advances with every send, so mobility re-bins
-// and neighbor-row rebuilds happen at their natural rate.  A/B timings
-// of the index and cache belong to perfbench/compare.py.
+// and neighbor-row rebuilds happen at their natural rate.  Their _Static
+// variants place the same sensors without mobility, the shape of the
+// static-sensor workloads: nothing re-bins, the grid runs with zero
+// drift slack and every cached row is exactly the radio neighbourhood.
+// A/B timings of the index and cache belong to perfbench/compare.py.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -32,9 +35,10 @@ using namespace refer;
 using sim::NodeId;
 
 /// The fig04/fig08 deployment shape at constant density: ~200 sensors per
-/// 500 m x 500 m, sensors i.i.d. around a quincunx of actuators.
+/// 500 m x 500 m, sensors i.i.d. around a quincunx of actuators.  Static
+/// fixtures place the sensors at the same points without mobility.
 struct Fixture {
-  explicit Fixture(int n_sensors)
+  explicit Fixture(int n_sensors, bool mobile = true)
       : side(500.0 * std::sqrt(n_sensors / 200.0)),
         world({{0, 0}, {side, side}}, simulator) {
     Rng rng(42);
@@ -50,10 +54,15 @@ struct Fixture {
           world.position(actuators[rng.below(actuators.size())]);
       const double ang = rng.uniform(0, 2 * 3.14159265358979323846);
       const double rad = 0.44 * side * std::sqrt(rng.uniform());
-      world.add_sensor(clamp({anchor.x + rad * std::cos(ang),
-                              anchor.y + rad * std::sin(ang)},
-                             world.area()),
-                       100, 0, 3, rng.split());
+      const Point p = clamp(
+          {anchor.x + rad * std::cos(ang), anchor.y + rad * std::sin(ang)},
+          world.area());
+      const Rng motion = rng.split();  // drawn either way: same points
+      if (mobile) {
+        world.add_sensor(p, 100, 0, 3, motion);
+      } else {
+        world.add_static_sensor(p, 100);
+      }
     }
   }
 
@@ -104,8 +113,9 @@ BENCHMARK(BM_ClosestActuator)->Arg(1000)->Arg(4000);
 /// Fixture + shared medium: the channel's CSMA scan and receiver
 /// materialisation both funnel through World::visit_reachable.
 struct ChannelFixture : Fixture {
-  explicit ChannelFixture(int n_sensors)
-      : Fixture(n_sensors), channel(simulator, world, energy, Rng(5)) {
+  ChannelFixture(int n_sensors, bool mobile)
+      : Fixture(n_sensors, mobile),
+        channel(simulator, world, energy, Rng(5)) {
     energy.resize(world.size());
   }
 
@@ -113,8 +123,8 @@ struct ChannelFixture : Fixture {
   sim::Channel channel;
 };
 
-void BM_CsmaReserveTxSlot(benchmark::State& state) {
-  ChannelFixture fx(static_cast<int>(state.range(0)));
+void CsmaReserveTxSlot(benchmark::State& state, bool mobile) {
+  ChannelFixture fx(static_cast<int>(state.range(0)), mobile);
   const auto n = static_cast<NodeId>(fx.world.size());
   NodeId from = 0;
   // A relay draining a 16-deep MAC queue -- the congested steady state
@@ -132,12 +142,23 @@ void BM_CsmaReserveTxSlot(benchmark::State& state) {
     fx.simulator.run_all();
   }
   benchmark::DoNotOptimize(fx.channel.stats().unicasts_sent);
+  state.counters["rebins_per_iter"] = benchmark::Counter(
+      static_cast<double>(fx.world.index_stats().rebins),
+      benchmark::Counter::kAvgIterations);
+}
+
+void BM_CsmaReserveTxSlot(benchmark::State& state) {
+  CsmaReserveTxSlot(state, /*mobile=*/true);
+}
+void BM_CsmaReserveTxSlot_Static(benchmark::State& state) {
+  CsmaReserveTxSlot(state, /*mobile=*/false);
 }
 
 BENCHMARK(BM_CsmaReserveTxSlot)->Arg(250)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_CsmaReserveTxSlot_Static)->Arg(1000)->Arg(4000);
 
-void BM_BroadcastReceivers(benchmark::State& state) {
-  ChannelFixture fx(static_cast<int>(state.range(0)));
+void BroadcastReceivers(benchmark::State& state, bool mobile) {
+  ChannelFixture fx(static_cast<int>(state.range(0)), mobile);
   const auto n = static_cast<NodeId>(fx.world.size());
   NodeId from = 0;
   std::uint64_t received = 0;
@@ -153,9 +174,20 @@ void BM_BroadcastReceivers(benchmark::State& state) {
   state.counters["receivers_per_bcast"] =
       benchmark::Counter(static_cast<double>(received),
                          benchmark::Counter::kAvgIterations);
+  state.counters["rebins_per_iter"] = benchmark::Counter(
+      static_cast<double>(fx.world.index_stats().rebins),
+      benchmark::Counter::kAvgIterations);
+}
+
+void BM_BroadcastReceivers(benchmark::State& state) {
+  BroadcastReceivers(state, /*mobile=*/true);
+}
+void BM_BroadcastReceivers_Static(benchmark::State& state) {
+  BroadcastReceivers(state, /*mobile=*/false);
 }
 
 BENCHMARK(BM_BroadcastReceivers)->Arg(250)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_BroadcastReceivers_Static)->Arg(1000)->Arg(4000);
 
 /// A working set of 64 (u, v) pairs replayed round-robin: what a handful
 /// of concurrent flows look like to a relay's route derivation.

@@ -36,10 +36,10 @@
 // by the exact pass, exactly as on the uncached path.
 //
 // The superset would make cached walks *slower* than uncached queries if
-// every candidate still needed its live position evaluated: the row is
-// ~(1 + 2*slack/r)^2 wider in area than an uncached candidate set, and
-// the per-candidate waypoint interpolation dominates walk cost.  So each
-// row also stores every candidate's binned anchor.  Within the epoch a
+// every candidate still needed its live position evaluated: the row
+// covers ~(1 + 3*slack/r)^2 times the radio disk's area, and the
+// per-candidate waypoint interpolation dominates walk cost.  So each row
+// also stores every candidate's binned anchor.  Within the epoch a
 // candidate's live position stays within `slack` of its anchor, giving
 // the walk a two-sided shortcut on the cheap anchor distance d:
 //   d > r + slack  =>  certainly out of range, skip;

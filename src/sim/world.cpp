@@ -8,10 +8,10 @@
 namespace refer::sim {
 namespace {
 
-/// Staleness budget as a fraction of the max transmission range.  Larger
-/// slack means fewer re-bins but a wider candidate ring; the ring cost is
-/// paid on every query and re-bins only per drifted leg, so a small 5%
-/// keeps the prefilter tight.
+/// Staleness budget as a fraction of the smallest positive transmission
+/// range.  Larger slack means fewer re-bins but a wider candidate ring;
+/// the ring cost is paid on every query and re-bins only per drifted leg,
+/// so a small 5% keeps the prefilter tight.
 constexpr double kSlackFraction = 0.05;
 
 }  // namespace
@@ -124,9 +124,11 @@ void World::rebuild_index(Time now) {
   index_dirty_ = false;
   ncache_.reset(nodes_.size());
   double max_range = 0;
+  double min_range = std::numeric_limits<double>::infinity();
   double max_speed = 0;
   for (const Node& n : nodes_) {
     max_range = std::max(max_range, n.range);
+    if (n.range > 0) min_range = std::min(min_range, n.range);
     max_speed = std::max(max_speed, n.motion.max_speed());
   }
   index_usable_ = !nodes_.empty() && max_range > 0;
@@ -140,7 +142,16 @@ void World::rebuild_index(Time now) {
   // bounds the grid at 64x64 cells for sparse wide-area deployments.
   const double side = std::max(area_.width(), area_.height());
   const double cell = std::max(max_range / 4.0, side / 64.0);
-  const double slack = max_range * kSlackFraction;
+  // The slack is sized by what can move.  When nothing can, every anchor
+  // is its node's live position for good, so slack 0 costs no re-bins
+  // and makes a row built from collect(p, r) exactly the in-range set
+  // (plus dead nodes and the querier): the anchor test settles every
+  // candidate not at exactly the query range.  Otherwise the slack
+  // scales with the smallest range, the radius most queries use
+  // (sensors, not the far-reaching actuators): each row is collected
+  // three slack budgets wider than its radius, and a smaller slack
+  // trades that over-scan for more frequent re-bins.
+  const double slack = max_speed > 0 ? min_range * kSlackFraction : 0.0;
   index_.start_build(area_, cell, slack, max_speed, nodes_.size());
   actuator_index_.start_build(area_, max_range, /*slack=*/0, /*max_speed=*/0,
                               nodes_.size());

@@ -1,9 +1,9 @@
 // The neighbor cache's one non-negotiable contract: cached reachable
 // queries return *exactly* what the brute-force scan in world_oracle.hpp
-// returns -- same ids, same order -- on mobile worlds, across row reuse,
-// skipped fills, node kills and range overrides.  Plus the epoch/counter
-// semantics and the zero-steady-state-allocation pin on the cached scan
-// path.
+// returns -- same ids, same order -- on mobile and static worlds, across
+// row reuse, skipped fills, node kills and range overrides.  Plus the
+// epoch/counter semantics, the row widths the drift slack implies, and
+// the zero-steady-state-allocation pin on the cached scan path.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -55,8 +55,11 @@ std::uint64_t allocations_during(Body&& body) {
 
 /// Randomized world mirroring the spatial-index property fixture: random
 /// area, static actuators, mixed mobile/static sensors, a few dead nodes.
+/// An `all_static` world places every sensor as static (zero drift
+/// slack: rows are exact in-range sets and anchors are live positions).
 struct RandomWorld {
-  RandomWorld(std::uint64_t seed, sim::Simulator& sim) : rng(seed) {
+  RandomWorld(std::uint64_t seed, sim::Simulator& sim, bool all_static)
+      : rng(seed) {
     const double side = rng.uniform(300, 1500);
     world = std::make_unique<sim::World>(Rect{{0, 0}, {side, side}}, sim);
     const int n_act = 2 + static_cast<int>(rng.below(5));
@@ -74,7 +77,7 @@ struct RandomWorld {
     for (int i = 0; i < n_sensors; ++i) {
       const Point p{rng.uniform(0, side), rng.uniform(0, side)};
       const double range = range_class[rng.below(2)];
-      if (rng.chance(0.7)) {
+      if (!all_static && rng.chance(0.7)) {
         world->add_sensor(p, range, 0, rng.uniform(0.5, 8), rng.split());
       } else {
         world->add_static_sensor(p, range);
@@ -94,7 +97,9 @@ TEST(NeighborCacheProperty, CachedMatchesUncachedOnRandomMobileWorlds) {
   int samples = 0;
   for (std::uint64_t seed = 1; samples < 120; ++seed) {
     sim::Simulator sim;
-    RandomWorld rw(seed * 2654435761u + 23, sim);
+    // Every fourth world is all-static, chosen by seed index so the
+    // mobile seeds keep their worlds.
+    RandomWorld rw(seed * 2654435761u + 23, sim, seed % 4 == 0);
     sim::World& world = *rw.world;
     double t = 0;
     for (int step = 0; step < 3; ++step, ++samples) {
@@ -173,7 +178,7 @@ TEST(NeighborCacheProperty, ReentrantQueriesStayExact) {
   int nested = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     sim::Simulator sim;
-    RandomWorld rw(seed * 97 + 5, sim);
+    RandomWorld rw(seed * 97 + 5, sim, seed % 4 == 0);
     sim::World& world = *rw.world;
     double t = 0;
     for (int step = 0; step < 4; ++step) {
@@ -201,6 +206,42 @@ TEST(NeighborCacheProperty, ReentrantQueriesStayExact) {
     }
   }
   EXPECT_GT(nested, 1000);
+}
+
+TEST(NeighborCacheProperty, StaticLatticeAtExactRangeStaysExact) {
+  // A 50 m lattice with range 100 puts every axis neighbour two steps
+  // away at exactly one range, and one step away at exactly the 50 m
+  // override.  Those pairs sit on the anchor shortcut's band edges, so
+  // the bands' epsilon must send them to the exact check -- both with
+  // zero slack (nothing can move) and with the 5 m slack a single mobile
+  // node switches on.
+  for (const bool with_mobile : {false, true}) {
+    sim::Simulator sim;
+    sim::World world(Rect{{0, 0}, {600, 600}}, sim);
+    for (double x = 0; x <= 600; x += 50) {
+      for (double y = 0; y <= 600; y += 50) {
+        world.add_static_sensor({x, y}, 100);
+      }
+    }
+    if (with_mobile) world.add_sensor({310, 290}, 100, 0.5, 8, Rng(3));
+    world.set_alive(20, false);
+    double t = 0;
+    for (int step = 0; step < 3; ++step) {
+      sim.run_until(t += 5);
+      for (int rep = 0; rep < 3; ++rep) {  // build, then hit, each row
+        for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
+             ++from) {
+          for (const double range_override : {0.0, 50.0}) {
+            ASSERT_EQ(world.reachable_from(from, range_override),
+                      test::reachable(world, from, range_override))
+                << "mobile=" << with_mobile << " t=" << t
+                << " from=" << from << " override=" << range_override;
+          }
+        }
+      }
+    }
+    EXPECT_GT(world.neighbor_cache_stats().hits, world.size());
+  }
 }
 
 /// Run observer that, every 0.25 s of simulated time, compares every
@@ -320,6 +361,79 @@ TEST(NeighborCacheCounters, MobilityRebinsInvalidate) {
   EXPECT_GT(world.neighbor_cache_stats().invalidations, inv0);
   EXPECT_GE(world.neighbor_cache_stats().rebuilds, 2u);
   EXPECT_EQ(world.neighbor_cache_stats().skipped_fills, 0u);
+}
+
+/// Number of nodes -- dead ones and `from` itself included -- whose
+/// position lies within `radius` of `from`'s: the exact size of a row
+/// collected around `from` from exact anchors.
+std::uint64_t nodes_within(sim::World& world, NodeId from, double radius) {
+  const Point p = world.position(from);
+  std::uint64_t count = 0;
+  for (NodeId j = 0; static_cast<std::size_t>(j) < world.size(); ++j) {
+    if (within_range(p, world.position(j), radius)) ++count;
+  }
+  return count;
+}
+
+/// The evaluation's mix: 100 m sensors (mobile or static) spread over
+/// the area around five 250 m actuators, plus a few dead sensors.
+void populate(sim::World& world, bool mobile) {
+  Rng rng(13);
+  for (const Point p : {Point{150, 150}, Point{450, 150}, Point{300, 300},
+                        Point{150, 450}, Point{450, 450}}) {
+    world.add_actuator(p, 250);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const Point p{rng.uniform(0, 600), rng.uniform(0, 600)};
+    if (mobile) {
+      world.add_sensor(p, 100, 0, 4, rng.split());
+    } else {
+      world.add_static_sensor(p, 100);
+    }
+  }
+  for (const NodeId dead : {7, 42, 133}) world.set_alive(dead, false);
+}
+
+TEST(NeighborCacheCounters, StaticRowsHoldExactlyTheInRangeSet) {
+  // Nothing can move, so the drift slack is zero: each first query
+  // builds its row from exactly the nodes within the query range --
+  // dead nodes and the querier included, since the exact pass filters
+  // those -- and not one candidate more.
+  sim::Simulator sim;
+  sim::World world(Rect{{0, 0}, {600, 600}}, sim);
+  populate(world, /*mobile=*/false);
+  std::uint64_t expected = 0;
+  std::uint64_t queries = 0;
+  for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
+       ++from) {
+    if (!world.alive(from)) continue;  // a dead sender queries nothing
+    (void)world.reachable_from(from);
+    expected += nodes_within(world, from, world.range(from));
+    ++queries;
+  }
+  EXPECT_EQ(world.index_stats().queries, queries);
+  EXPECT_EQ(world.index_stats().candidates, expected);
+  EXPECT_EQ(world.index_stats().rebins, world.size());  // the build only
+}
+
+TEST(NeighborCacheCounters, MobileRowsWidenBySensorScaleSlack) {
+  // With movers the slack is 5 % of the smallest range (5 m for 100 m
+  // sensors, whatever the 250 m actuators reach), and a row is collected
+  // three slack budgets wide.  At t = 0 every anchor is still exact, so
+  // each first query's row is exactly the nodes within r + 3 * slack.
+  sim::Simulator sim;
+  sim::World world(Rect{{0, 0}, {600, 600}}, sim);
+  populate(world, /*mobile=*/true);
+  const double widen = 3 * (0.05 * 100.0);
+  std::uint64_t expected = 0;
+  for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
+       ++from) {
+    if (!world.alive(from)) continue;
+    (void)world.reachable_from(from);
+    expected += nodes_within(world, from, world.range(from) + widen);
+  }
+  EXPECT_EQ(sim.now(), 0.0);
+  EXPECT_EQ(world.index_stats().candidates, expected);
 }
 
 TEST(NeighborCacheCounters, ColdRowsSkipFillsUntilReuseReturns) {
