@@ -27,7 +27,7 @@ int run_ablation_timeline(Context& ctx) {
   std::vector<std::vector<double>> timelines;
   for (harness::SystemKind kind : harness::kAllSystems) {
     const auto m = ctx.executor.run_once(kind, sc);
-    timelines.push_back(m.build_ok ? m.qos_timeline_kbps
+    timelines.push_back(m.build_ok ? m.timeseries.qos_kbps
                                    : std::vector<double>{});
   }
 

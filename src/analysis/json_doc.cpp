@@ -1,7 +1,7 @@
 #include "analysis/json_doc.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 
 namespace refer::analysis {
 
@@ -23,6 +23,14 @@ std::vector<double> JsonNode::member_numbers(std::string_view key) const {
 }
 
 namespace {
+
+/// The value of hex digit `h`, or -1.
+int hex_digit(char h) {
+  if (h >= '0' && h <= '9') return h - '0';
+  if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+  if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+  return -1;
+}
 
 struct Parser {
   std::string_view text;
@@ -105,19 +113,27 @@ struct Parser {
         if (pos >= text.size()) return false;
         const char esc = text[pos++];
         switch (esc) {
+          case '"': case '\\': case '/': c = esc; break;
           case 'n': c = '\n'; break;
           case 't': c = '\t'; break;
           case 'r': c = '\r'; break;
           case 'b': c = '\b'; break;
           case 'f': c = '\f'; break;
-          case 'u':
-            // The writers never emit \u escapes; skip the 4 hex digits
-            // and substitute '?' rather than decoding UTF-16.
+          case 'u': {
+            // The writers escape control characters as \u00XX (common/
+            // strings.hpp); those decode exactly.  Anything beyond ASCII
+            // is replaced rather than UTF-8-encoded.
             if (pos + 4 > text.size()) return false;
-            pos += 4;
-            c = '?';
+            unsigned code = 0;
+            for (int i = 0; i < 4; ++i) {
+              const int digit = hex_digit(text[pos++]);
+              if (digit < 0) return false;
+              code = code << 4 | static_cast<unsigned>(digit);
+            }
+            c = code < 0x80 ? static_cast<char>(code) : '?';
             break;
-          default: c = esc; break;  // \" \\ \/
+          }
+          default: return false;  // not a JSON escape
         }
       }
       out.push_back(c);
@@ -165,13 +181,12 @@ struct Parser {
       ++pos;
     }
     if (pos == start) return fail();
-    const std::string token(text.substr(start, pos - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return fail();
     JsonNode node;
+    const char* last = text.data() + pos;
+    const auto [end, ec] =
+        std::from_chars(text.data() + start, last, node.number);
+    if (ec != std::errc() || end != last) return fail();
     node.kind = JsonNode::Kind::kNumber;
-    node.number = value;
     return node;
   }
 };

@@ -1,13 +1,14 @@
-// Nested JSON document parser for the offline analyzers.
+// The JSON reader of the offline analyzers.
 //
-// src/analysis/jsonl.hpp deliberately parses only *flat* objects (one
-// trace record per line); the results documents (runner/results_writer)
-// are nested -- objects inside arrays inside objects -- so the timeline
-// analyzer needs a real value tree.  This is a small recursive-descent
-// parser over the subset JsonWriter emits: finite numbers, plain
-// strings with backslash escapes, true/false/null, arrays and objects.
-// It keeps object members in document order and tolerates unknown keys,
-// so older (v3) and newer documents both load.
+// The results documents (runner/results_writer) are nested -- objects
+// inside arrays inside objects -- so the analyzers need a real value
+// tree; the flat JSONL trace records and repro files go through the same
+// parser (analysis/jsonl.hpp adds the flat-object check).  This is a
+// small recursive-descent parser over the subset the writers emit:
+// finite numbers, strings with JSON's backslash escapes (\uXXXX decodes
+// ASCII, anything wider reads as '?'), true/false/null, arrays and
+// objects.  It keeps object members in document order and tolerates
+// unknown keys, so older (v3) and newer documents both load.
 #pragma once
 
 #include <optional>

@@ -1,153 +1,34 @@
 #include "analysis/jsonl.hpp"
 
-#include <cstdlib>
+#include "analysis/json_doc.hpp"
 
 namespace refer::analysis {
 
-namespace {
-
-/// Cursor over the line being parsed.
-struct Cursor {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  [[nodiscard]] bool done() const noexcept { return pos >= s.size(); }
-  [[nodiscard]] char peek() const noexcept { return s[pos]; }
-  char take() noexcept { return s[pos++]; }
-
-  void skip_ws() noexcept {
-    while (!done() &&
-           (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\r' ||
-            s[pos] == '\n')) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) noexcept {
-    if (done() || s[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-
-  bool consume_literal(std::string_view lit) noexcept {
-    if (s.substr(pos, lit.size()) != lit) return false;
-    pos += lit.size();
-    return true;
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.consume('"')) return false;
-  out.clear();
-  while (!c.done()) {
-    const char ch = c.take();
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out.push_back(ch);
-      continue;
-    }
-    if (c.done()) return false;
-    const char esc = c.take();
-    switch (esc) {
-      case '"': out.push_back('"'); break;
-      case '\\': out.push_back('\\'); break;
-      case '/': out.push_back('/'); break;
-      case 'b': out.push_back('\b'); break;
-      case 'f': out.push_back('\f'); break;
-      case 'n': out.push_back('\n'); break;
-      case 'r': out.push_back('\r'); break;
-      case 't': out.push_back('\t'); break;
-      case 'u': {
-        if (c.pos + 4 > c.s.size()) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = c.take();
-          code <<= 4;
-          if (h >= '0' && h <= '9') {
-            code |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        // The traces only escape ASCII control characters; anything
-        // beyond one byte is replaced rather than UTF-8-encoded.
-        out.push_back(code < 0x80 ? static_cast<char>(code) : '?');
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool parse_number(Cursor& c, double& out) {
-  const char* begin = c.s.data() + c.pos;
-  char* end = nullptr;
-  out = std::strtod(begin, &end);
-  if (end == begin) return false;
-  c.pos += static_cast<std::size_t>(end - begin);
-  return true;
-}
-
-bool parse_value(Cursor& c, JsonValue& out) {
-  c.skip_ws();
-  if (c.done()) return false;
-  const char ch = c.peek();
-  if (ch == '"') {
-    out.kind = JsonValue::Kind::kString;
-    return parse_string(c, out.str);
-  }
-  if (ch == 't') {
-    out.kind = JsonValue::Kind::kBool;
-    out.boolean = true;
-    return c.consume_literal("true");
-  }
-  if (ch == 'f') {
-    out.kind = JsonValue::Kind::kBool;
-    out.boolean = false;
-    return c.consume_literal("false");
-  }
-  if (ch == 'n') {
-    out.kind = JsonValue::Kind::kNull;
-    return c.consume_literal("null");
-  }
-  if (ch == '{' || ch == '[') return false;  // flat objects only
-  out.kind = JsonValue::Kind::kNumber;
-  return parse_number(c, out.number);
-}
-
-}  // namespace
-
 std::optional<JsonObject> parse_flat_object(std::string_view line) {
-  Cursor c{line};
-  c.skip_ws();
-  if (!c.consume('{')) return std::nullopt;
+  std::optional<JsonNode> doc = parse_json_doc(line);
+  if (!doc || !doc->is_object()) return std::nullopt;
   JsonObject obj;
-  c.skip_ws();
-  if (c.consume('}')) {
-    c.skip_ws();
-    return c.done() ? std::optional<JsonObject>(std::move(obj)) : std::nullopt;
-  }
-  for (;;) {
-    c.skip_ws();
-    std::string key;
-    if (!parse_string(c, key)) return std::nullopt;
-    c.skip_ws();
-    if (!c.consume(':')) return std::nullopt;
+  for (auto& [key, node] : doc->members) {
     JsonValue value;
-    if (!parse_value(c, value)) return std::nullopt;
-    obj[std::move(key)] = std::move(value);
-    c.skip_ws();
-    if (c.consume(',')) continue;
-    if (c.consume('}')) break;
-    return std::nullopt;
+    switch (node.kind) {
+      case JsonNode::Kind::kNull: break;
+      case JsonNode::Kind::kBool:
+        value.kind = JsonValue::Kind::kBool;
+        value.boolean = node.boolean;
+        break;
+      case JsonNode::Kind::kNumber:
+        value.kind = JsonValue::Kind::kNumber;
+        value.number = node.number;
+        break;
+      case JsonNode::Kind::kString:
+        value.kind = JsonValue::Kind::kString;
+        value.str = std::move(node.str);
+        break;
+      case JsonNode::Kind::kArray:
+      case JsonNode::Kind::kObject: return std::nullopt;  // flat only
+    }
+    obj.insert_or_assign(std::move(key), std::move(value));
   }
-  c.skip_ws();
-  if (!c.done()) return std::nullopt;
   return obj;
 }
 

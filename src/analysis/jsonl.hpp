@@ -1,10 +1,10 @@
-// Flat-JSON-object parser for the trace analysis tools.
+// Flat-JSON-object reader for the trace analysis tools.
 //
 // The JSONL trace files written by sim::JsonlTraceWriter are streams of
-// *flat* objects (string / number / bool / null values, no nesting), so
-// the analyzer does not need a general JSON library: this parser accepts
-// exactly that subset and rejects everything else.  Write-side JSON
-// stays in runner/json.hpp; this is the matching read side.
+// *flat* objects (string / number / bool / null values, no nesting), and
+// so are repro files.  parse_flat_object reads one with the repo's one
+// JSON reader (analysis/json_doc.hpp) and accepts exactly that subset:
+// the value must be an object whose members are all scalars.
 #pragma once
 
 #include <map>

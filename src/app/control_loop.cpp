@@ -13,18 +13,19 @@ using sim::NodeId;
 
 ControlLoopEngine::ControlLoopEngine(
     const harness::Scenario& scenario, sim::Simulator& sim, sim::World& world,
-    sim::Channel& channel, sim::Tracer& tracer,
-    baselines::WsanSystem& system, const std::vector<NodeId>& actuators,
-    const std::vector<NodeId>& sensors, StatsRegistry& stats)
+    sim::Channel& channel, baselines::WsanSystem& system,
+    const std::vector<NodeId>& actuators, const std::vector<NodeId>& sensors)
     : scenario_(scenario),
       sim_(sim),
       world_(world),
       channel_(channel),
-      tracer_(tracer),
       system_(system),
       actuators_(actuators),
       sensors_(sensors),
-      latency_ms_(&stats.histogram("app.loop_latency_ms")),
+      latency_ms_(sim.instruments().stats
+                      ? &sim.instruments().stats->histogram(
+                            "app.loop_latency_ms")
+                      : nullptr),
       // A stream independent of the deployment / workload / fault rngs:
       // the app tier must not perturb what the routing layers draw.
       rng_(scenario.seed ^ 0xA117D00DCAFE5EEDULL) {}
@@ -32,7 +33,8 @@ ControlLoopEngine::ControlLoopEngine(
 void ControlLoopEngine::emit(sim::TraceEvent event, NodeId from, NodeId to,
                              std::int64_t packet, std::size_t bytes,
                              int hop_index) {
-  if (!tracer_.enabled()) return;
+  sim::Tracer* tracer = sim::active_tracer(sim_);
+  if (!tracer) return;
   sim::TraceRecord rec;
   rec.t = sim_.now();
   rec.event = event;
@@ -41,7 +43,7 @@ void ControlLoopEngine::emit(sim::TraceEvent event, NodeId from, NodeId to,
   rec.bytes = bytes;
   rec.packet = packet;
   rec.hop_index = hop_index;
-  tracer_.emit(rec);
+  tracer->emit(rec);
 }
 
 void ControlLoopEngine::start(double t0, double measure_from,
@@ -207,7 +209,9 @@ void ControlLoopEngine::start_loop(int sensor_index) {
   loop.counted = now >= measure_from_ && now < measure_to_;
   if (loop.counted) {
     ++loops_started_;
-    if (telemetry_) telemetry_->on_app_loop_start(now);
+    if (sim::TelemetryRecorder* telemetry = sim_.instruments().telemetry) {
+      telemetry->on_app_loop_start(now);
+    }
   }
   const std::size_t slot = loops_.size();
   loops_.push_back(loop);
@@ -257,12 +261,12 @@ void ControlLoopEngine::on_command(std::size_t loop_slot, bool delivered) {
   if (!loop.counted) return;
   ++loops_completed_;
   latencies_ms_.push_back(latency_s * 1000.0);
-  latency_ms_->record(latency_s * 1000.0);
+  if (latency_ms_) latency_ms_->record(latency_s * 1000.0);
   const bool within =
       !loop.missed && latency_s <= scenario_.app_loop_deadline_s;
   if (within) ++loops_within_deadline_;
-  if (telemetry_) {
-    telemetry_->on_app_loop_done(loop.sense_t, within, latency_s * 1000.0);
+  if (sim::TelemetryRecorder* telemetry = sim_.instruments().telemetry) {
+    telemetry->on_app_loop_done(loop.sense_t, within, latency_s * 1000.0);
   }
 }
 

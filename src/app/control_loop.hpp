@@ -48,10 +48,6 @@
 #include "sim/trace.hpp"
 #include "sim/world.hpp"
 
-namespace refer::sim {
-class TelemetryRecorder;  // sim/telemetry.hpp
-}
-
 namespace refer::app {
 
 /// End-of-run summary, copied into harness::RunMetrics by the driver.
@@ -80,12 +76,15 @@ class ControlLoopEngine {
   /// Lifetime of a generated physical event.
   static constexpr double kEventDurationS = 5.0;
 
+  /// Observes through the simulator's Instruments: app_* trace events,
+  /// the "app.loop_latency_ms" histogram, and -- once the flight
+  /// recorder is started -- the per-bucket app-loop series (bucketed by
+  /// sense time).
   ControlLoopEngine(const harness::Scenario& scenario, sim::Simulator& sim,
                     sim::World& world, sim::Channel& channel,
-                    sim::Tracer& tracer, baselines::WsanSystem& system,
+                    baselines::WsanSystem& system,
                     const std::vector<sim::NodeId>& actuators,
-                    const std::vector<sim::NodeId>& sensors,
-                    StatsRegistry& stats);
+                    const std::vector<sim::NodeId>& sensors);
 
   /// Derives the fault windows, registers every sensor, and schedules
   /// keepalives + sensing events over [t0, measure_to).
@@ -97,13 +96,6 @@ class ControlLoopEngine {
   /// Counters for the observability snapshot (latency histogram streams
   /// during the run under "app.loop_latency_ms").
   void export_stats(StatsRegistry& stats) const;
-
-  /// Attaches the run's flight recorder: counted loop starts and
-  /// completions stream into the per-bucket app-loop series (bucketed by
-  /// sense time).  Pass nullptr to detach; call before start().
-  void set_telemetry(sim::TelemetryRecorder* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
 
  private:
   struct Loop {
@@ -135,12 +127,10 @@ class ControlLoopEngine {
   sim::Simulator& sim_;
   sim::World& world_;
   sim::Channel& channel_;
-  sim::Tracer& tracer_;
   baselines::WsanSystem& system_;
   const std::vector<sim::NodeId>& actuators_;
   const std::vector<sim::NodeId>& sensors_;
-  Histogram* latency_ms_;  ///< "app.loop_latency_ms" (owned by registry)
-  sim::TelemetryRecorder* telemetry_ = nullptr;
+  Histogram* latency_ms_;  ///< "app.loop_latency_ms"; null without stats
 
   Rng rng_;
   double t0_ = 0, measure_from_ = 0, measure_to_ = 0;

@@ -2,13 +2,15 @@
 //
 // A PhaseProfiler owns one cumulative wall-time account per Phase; hot
 // paths open a PhaseProfiler::Scope around their work and the destructor
-// charges the elapsed steady-clock nanoseconds to that phase.  Unlike the
-// kernel event profiler (sim::Simulator::set_profiler, which histograms
-// per-event wall time by scheduling tag), this answers the macro
-// question "where does the wall clock go" -- e.g. "68% of wall time is
-// the CSMA medium scan at saturation" -- and the telemetry recorder
-// (sim/telemetry.hpp) snapshots the accounts at every bucket boundary so
-// the attribution is *time-resolved* over the run.
+// charges the elapsed steady-clock nanoseconds to that phase.  A run has
+// one, in its simulator's sim::Instruments, which every instrumented
+// layer reads.  Unlike the kernel event profile
+// (sim::Instruments::profile_events, which histograms per-event wall
+// time by scheduling tag), this answers the macro question "where does
+// the wall clock go" -- e.g. "68% of wall time is the CSMA medium scan
+// at saturation" -- and the telemetry recorder (sim/telemetry.hpp)
+// snapshots the accounts at every bucket boundary so the attribution is
+// *time-resolved* over the run.
 //
 // Scopes nest *inclusively*: a spatial-index query inside the medium
 // scan charges both kSpatialQuery and kMediumScan, so the accounts are

@@ -1,5 +1,7 @@
 #include "common/strings.hpp"
 
+#include <cstdio>
+
 namespace refer {
 
 std::vector<std::string> split(std::string_view s, char delim) {
@@ -28,6 +30,34 @@ bool all_digits_below(std::string_view s, int alphabet) noexcept {
     if (c < '0' || c >= '0' + alphabet) return false;
   }
   return true;
+}
+
+void json_escape_append(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  json_escape_append(out, s);
+  return out;
 }
 
 }  // namespace refer

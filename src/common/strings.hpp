@@ -18,4 +18,11 @@ namespace refer {
 /// ('0'..'0'+alphabet-1).
 [[nodiscard]] bool all_digits_below(std::string_view s, int alphabet) noexcept;
 
+/// Appends `s` escaped for the inside of a JSON string literal: quote,
+/// backslash, \n \r \t, and every other control character as \u00XX.
+/// The one escaper behind the results JSON and the JSONL traces.
+void json_escape_append(std::string& out, std::string_view s);
+/// Same escaping into a new string (no surrounding quotes).
+[[nodiscard]] std::string json_escape(std::string_view s);
+
 }  // namespace refer

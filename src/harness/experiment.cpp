@@ -44,12 +44,8 @@ using sim::NodeId;
 class ReferAdapter final : public WsanSystem {
  public:
   ReferAdapter(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
-               sim::EnergyTracker& energy, Rng rng,
-               sim::Tracer* tracer = nullptr,
-               core::ReferConfig config = {})
-      : system_(sim, world, channel, energy, rng, config) {
-    if (tracer) system_.set_tracer(tracer);
-  }
+               sim::EnergyTracker& energy, Rng rng, core::ReferConfig config)
+      : system_(sim, world, channel, energy, rng, config) {}
 
   void build(std::function<void(bool)> done) override {
     system_.build(std::move(done));
@@ -107,10 +103,43 @@ class ReferAdapter final : public WsanSystem {
   core::ReferSystem system_;
 };
 
+/// The run's observers and the simulator that carries them.  Filling
+/// the simulator's Instruments here, in Deployment's base, completes the
+/// context before any layer is built on the simulator (Channel registers
+/// "channel.queue_wait_us" at construction), and the observers outlive
+/// every reader.
+struct Observers {
+  explicit Observers(const Scenario& sc) {
+    // Wall-clock phase attribution: always in the context (a disabled
+    // profiler is one branch per scope), enabled only on request -- the
+    // numbers are nondeterministic and stay out of the bit-identity
+    // contracts.
+    phases.set_enabled(sc.phase_profile);
+    if (!sc.trace_path.empty()) {
+      trace_writer = std::make_unique<sim::JsonlTraceWriter>(sc.trace_path);
+      tracer.set_sink(std::ref(*trace_writer));
+    }
+    sim::Instruments& in = sim.instruments();
+    in.tracer = &tracer;
+    in.stats = &stats;
+    in.phases = &phases;
+    in.telemetry = &telemetry;
+    in.profile_events = sc.profile;
+  }
+
+  sim::Tracer tracer;
+  StatsRegistry stats;
+  PhaseProfiler phases;
+  sim::TelemetryRecorder telemetry;  ///< started only for a timeline
+  std::unique_ptr<sim::JsonlTraceWriter> trace_writer;
+  sim::Simulator sim;
+};
+
 /// One fully wired deployment.
-struct Deployment {
+struct Deployment : Observers {
   explicit Deployment(const Scenario& sc)
-      : scenario(sc),
+      : Observers(sc),
+        scenario(sc),
         rng(sc.seed),
         world({{0, 0}, {sc.area_side_m, sc.area_side_m}}, sim),
         channel(sim, world, energy, Rng(sc.seed ^ 0xC0FFEE),
@@ -123,26 +152,6 @@ struct Deployment {
     place_sensors();
     energy.resize(world.size());
     energy.set_initial_battery(sc.initial_battery_j);
-    channel.set_stats(&stats);
-    if (sc.profile) sim.set_profiler(&stats);
-    // Wall-clock phase attribution: always wired (a disabled profiler is
-    // one branch per scope), enabled only on request -- the numbers are
-    // nondeterministic and stay out of the bit-identity contracts.
-    phases.set_enabled(sc.phase_profile);
-    sim.set_phase_profiler(&phases);
-    world.set_phase_profiler(&phases);
-    channel.set_phase_profiler(&phases);
-    flooder.set_phase_profiler(&phases);
-    if (!sc.trace_path.empty()) {
-      trace_writer = std::make_unique<sim::JsonlTraceWriter>(sc.trace_path);
-      tracer.set_sink(std::ref(*trace_writer));
-    }
-    if (!sc.trace_path.empty() || sc.observer) {
-      // An observer without a trace file still sees every record through
-      // the tracer tap it attaches in on_run_start.
-      channel.set_tracer(&tracer);
-      world.set_tracer(&tracer);
-    }
   }
 
   void place_actuators() {
@@ -209,11 +218,8 @@ struct Deployment {
         config.router.policy = scenario.routing_policy == RoutingPolicy::kRegular
                                    ? core::RoutingPolicy::kRegular
                                    : core::RoutingPolicy::kGreedy;
-        auto adapter = std::make_unique<ReferAdapter>(
-            sim, world, channel, energy, Rng(scenario.seed ^ 0x5EED), &tracer,
-            config);
-        adapter->refer_system()->router().set_phase_profiler(&phases);
-        return adapter;
+        return std::make_unique<ReferAdapter>(
+            sim, world, channel, energy, Rng(scenario.seed ^ 0x5EED), config);
       }
       case SystemKind::kDaTree:
         return std::make_unique<baselines::DaTree>(sim, world, channel,
@@ -230,11 +236,6 @@ struct Deployment {
 
   Scenario scenario;
   Rng rng;
-  sim::Tracer tracer;
-  StatsRegistry stats;
-  PhaseProfiler phases;
-  std::unique_ptr<sim::JsonlTraceWriter> trace_writer;
-  sim::Simulator sim;
   sim::World world;
   sim::EnergyTracker energy;
   sim::Channel channel;
@@ -277,7 +278,7 @@ class Driver {
       // schedules one gauge tick per bucket boundary.  The gauge source
       // closes over the deployment; it is installed once here and never
       // allocates when invoked.
-      telemetry_.start(
+      dep_->telemetry.start(
           dep_->sim, &dep_->channel, &dep_->energy,
           [this](sim::GaugeSnapshot& g) {
             g.channel_airtime_s = dep_->channel.stats().total_airtime_s;
@@ -289,8 +290,7 @@ class Driver {
             }
           },
           measure_from_, sc.measure_s, sc.timeline_bucket_s,
-          dep_->world.size(), &dep_->phases);
-      dep_->channel.set_telemetry(&telemetry_);
+          dep_->world.size(), sc.packet_bytes);
     }
 
     dep_->sim.schedule_at(measure_from_, [this] {
@@ -304,9 +304,8 @@ class Driver {
     std::unique_ptr<app::ControlLoopEngine> app_engine;
     if (sc.app_enabled) {
       app_engine = std::make_unique<app::ControlLoopEngine>(
-          sc, dep_->sim, dep_->world, dep_->channel, dep_->tracer, *system_,
-          dep_->actuators, dep_->sensors, dep_->stats);
-      if (telemetry_.active()) app_engine->set_telemetry(&telemetry_);
+          sc, dep_->sim, dep_->world, dep_->channel, *system_,
+          dep_->actuators, dep_->sensors);
       app_engine->start(t0_, measure_from_, measure_to_);
     }
 
@@ -325,12 +324,9 @@ class Driver {
     metrics.delay_p50_ms = percentile(all_delays_ms_, 50);
     metrics.delay_p95_ms = percentile(all_delays_ms_, 95);
     metrics.delay_p99_ms = percentile(all_delays_ms_, 99);
-    if (telemetry_.active()) {
-      telemetry_.finalize();
-      dep_->channel.set_telemetry(nullptr);  // recorder dies with the Driver
-      metrics.timeseries = telemetry_.series();
-      metrics.qos_timeline_kbps =
-          metrics.timeseries.qos_timeline_kbps(sc.packet_bytes);
+    if (dep_->telemetry.active()) {
+      dep_->telemetry.finalize();
+      metrics.timeseries = dep_->telemetry.series();
     }
     metrics.delivery_ratio =
         sent_ ? static_cast<double>(delivered_) / static_cast<double>(sent_)
@@ -447,7 +443,7 @@ class Driver {
         const bool counted = at >= measure_from_ && at < measure_to_;
         if (counted) {
           ++sent_;
-          if (telemetry_.active()) telemetry_.on_send(at);
+          dep_->telemetry.on_send(at);
         }
         system_->send_event(src, dep_->scenario.packet_bytes,
                             [this, counted](const Delivery& d) {
@@ -460,11 +456,9 @@ class Driver {
                               failovers_->record(d.failovers);
                               const bool qos_ok =
                                   d.delay_s <= dep_->scenario.qos_deadline_s;
-                              if (telemetry_.active()) {
-                                telemetry_.on_delivery(dep_->sim.now(),
-                                                       d.delay_s * 1000.0,
-                                                       qos_ok, d.failovers);
-                              }
+                              dep_->telemetry.on_delivery(
+                                  dep_->sim.now(), d.delay_s * 1000.0, qos_ok,
+                                  d.failovers);
                               if (qos_ok) {
                                 ++qos_delivered_;
                                 delay_sum_s_ += d.delay_s;
@@ -514,7 +508,6 @@ class Driver {
   std::uint64_t sent_ = 0, delivered_ = 0, qos_delivered_ = 0;
   double delay_sum_s_ = 0;
   std::vector<double> all_delays_ms_;
-  sim::TelemetryRecorder telemetry_;
 };
 
 }  // namespace

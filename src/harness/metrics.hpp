@@ -51,12 +51,6 @@ struct RunMetrics {
   /// non-empty.
   std::vector<std::uint64_t> arc_forwards;
 
-  /// QoS throughput per Scenario::timeline_bucket_s bucket (empty when
-  /// the scenario did not request a timeline).  Derived from
-  /// timeseries.qos_delivered with the exact legacy (schema v3)
-  /// arithmetic.
-  std::vector<double> qos_timeline_kbps;
-
   /// The run's full flight-recorder series (sim/telemetry.hpp);
   /// bucket_s == 0 when the scenario did not request a timeline.
   /// Serialized as the "timeseries" section of the schema-v4 results

@@ -146,8 +146,7 @@ struct Scenario {
   /// RunMetrics::timeseries holds per-bucket series (throughput, delay
   /// percentiles, queue waits, busy fraction, hot nodes, app-loop QoS,
   /// ...) for buckets of this many seconds across the measurement
-  /// window, and RunMetrics::qos_timeline_kbps (the legacy within-run
-  /// decay curve) is re-derived from it bit-identically.
+  /// window; its qos_kbps series is the within-run QoS decay curve.
   double timeline_bucket_s = 0;
 
   /// When true (and timeline_bucket_s > 0), the wall-clock phase

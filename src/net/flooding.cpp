@@ -21,11 +21,11 @@ namespace {
 template <typename Self>
 class FloodQuery : public std::enable_shared_from_this<Self> {
  protected:
-  FloodQuery(sim::World& world, sim::Channel& channel, PhaseProfiler* phases,
+  FloodQuery(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
              sim::EnergyBucket bucket, std::size_t bytes)
-      : world_(&world),
+      : sim_(&sim),
+        world_(&world),
         channel_(&channel),
-        phases_(phases),
         bucket_(bucket),
         bytes_(bytes),
         parent_(world.size(), kUnseen) {}
@@ -59,9 +59,9 @@ class FloodQuery : public std::enable_shared_from_this<Self> {
         tx_range);
   }
 
+  sim::Simulator* sim_;
   sim::World* world_;
   sim::Channel* channel_;
-  PhaseProfiler* phases_;
   sim::EnergyBucket bucket_;
   std::size_t bytes_;
 
@@ -72,15 +72,15 @@ class FloodQuery : public std::enable_shared_from_this<Self> {
 
 class DiscoverQuery final : public FloodQuery<DiscoverQuery> {
  public:
-  DiscoverQuery(sim::World& world, sim::Channel& channel,
-                PhaseProfiler* phases, sim::EnergyBucket bucket,
-                std::size_t bytes, NodeId target, Flooder::DiscoverDone done)
-      : FloodQuery(world, channel, phases, bucket, bytes),
+  DiscoverQuery(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
+                sim::EnergyBucket bucket, std::size_t bytes, NodeId target,
+                Flooder::DiscoverDone done)
+      : FloodQuery(sim, world, channel, bucket, bytes),
         target_(target),
         done_(std::move(done)) {}
 
   void receive(NodeId at, NodeId from, int ttl_left) {
-    PhaseProfiler::Scope phase(phases_, Phase::kFlooding);
+    PhaseProfiler::Scope phase(sim_->instruments().phases, Phase::kFlooding);
     if (finished_ || forwarded(at)) return;
     // Only accept over symmetric links: the discovered route must carry
     // the reply (and later data) back towards the source, so a node that
@@ -133,17 +133,16 @@ class DiscoverQuery final : public FloodQuery<DiscoverQuery> {
 
 class CollectQuery final : public FloodQuery<CollectQuery> {
  public:
-  CollectQuery(sim::World& world, sim::Channel& channel,
-               PhaseProfiler* phases, sim::EnergyBucket bucket,
-               std::size_t bytes, NodeId target, double tx_range,
-               Flooder::CollectDone done)
-      : FloodQuery(world, channel, phases, bucket, bytes),
+  CollectQuery(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
+               sim::EnergyBucket bucket, std::size_t bytes, NodeId target,
+               double tx_range, Flooder::CollectDone done)
+      : FloodQuery(sim, world, channel, bucket, bytes),
         target_(target),
         tx_range_(tx_range),
         done_(std::move(done)) {}
 
   void receive(NodeId at, NodeId from, int ttl_left) {
-    PhaseProfiler::Scope phase(phases_, Phase::kFlooding);
+    PhaseProfiler::Scope phase(sim_->instruments().phases, Phase::kFlooding);
     if (finished_) return;
     if (at == target_) {
       // Record every arrival: forwarder's first-accept path + target.
@@ -175,15 +174,15 @@ class AnnounceQuery final : public FloodQuery<AnnounceQuery> {
  public:
   using OnNode = std::function<bool(NodeId, int, NodeId)>;
 
-  AnnounceQuery(sim::World& world, sim::Channel& channel,
-                PhaseProfiler* phases, sim::EnergyBucket bucket,
-                std::size_t bytes, int ttl, OnNode on_node)
-      : FloodQuery(world, channel, phases, bucket, bytes),
+  AnnounceQuery(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
+                sim::EnergyBucket bucket, std::size_t bytes, int ttl,
+                OnNode on_node)
+      : FloodQuery(sim, world, channel, bucket, bytes),
         ttl_(ttl),
         on_node_(std::move(on_node)) {}
 
   void receive(NodeId at, NodeId parent, int hops_travelled) {
-    PhaseProfiler::Scope phase(phases_, Phase::kFlooding);
+    PhaseProfiler::Scope phase(sim_->instruments().phases, Phase::kFlooding);
     if (forwarded(at)) return;
     if (on_node_ && parent >= 0 && !on_node_(at, hops_travelled, parent)) {
       return;  // rejected: `at` stays eligible for later copies
@@ -204,7 +203,7 @@ void Flooder::discover(NodeId src, NodeId target, int ttl,
                        std::size_t query_bytes, double deadline_s) {
   ++next_query_;
   auto query = std::make_shared<DiscoverQuery>(
-      *world_, *channel_, phases_, bucket, query_bytes, target,
+      *sim_, *world_, *channel_, bucket, query_bytes, target,
       std::move(done));
   // Kick off: src "receives" its own query with full TTL.
   query->receive(src, -1, ttl);
@@ -217,7 +216,7 @@ void Flooder::collect_paths(NodeId src, NodeId target, int ttl,
                             double query_tx_range) {
   ++next_query_;
   auto query = std::make_shared<CollectQuery>(
-      *world_, *channel_, phases_, bucket, query_bytes, target,
+      *sim_, *world_, *channel_, bucket, query_bytes, target,
       query_tx_range, std::move(done));
   query->receive(src, -1, ttl + 1);  // src itself does not consume TTL
   sim_->schedule_in(deadline_s, [query] { query->expire(); });
@@ -227,7 +226,7 @@ void Flooder::announce(NodeId src, int ttl, sim::EnergyBucket bucket,
                        std::function<bool(NodeId, int, NodeId)> on_node,
                        std::size_t bytes) {
   ++next_query_;
-  std::make_shared<AnnounceQuery>(*world_, *channel_, phases_, bucket, bytes,
+  std::make_shared<AnnounceQuery>(*sim_, *world_, *channel_, bucket, bytes,
                                   ttl, std::move(on_node))
       ->receive(src, -1, 0);
 }

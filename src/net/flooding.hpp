@@ -25,6 +25,8 @@ using sim::NodeId;
 /// Flood-based discovery service.  Stateless between calls except for the
 /// query-id counter; per-query state lives in a query object owned by the
 /// query's in-flight frames and deadline, freed after the last one fires.
+/// Every flood relay decision (suppression check, path bookkeeping,
+/// rebroadcast kickoff) charges the simulator's Phase::kFlooding.
 class Flooder {
  public:
   Flooder(sim::Simulator& sim, sim::World& world, sim::Channel& channel)
@@ -81,18 +83,10 @@ class Flooder {
     return next_query_;
   }
 
-  /// Attaches the wall-clock phase profiler: every flood relay decision
-  /// (suppression check, path bookkeeping, rebroadcast kickoff) charges
-  /// Phase::kFlooding.
-  void set_phase_profiler(PhaseProfiler* phases) noexcept {
-    phases_ = phases;
-  }
-
  private:
   sim::Simulator* sim_;
   sim::World* world_;
   sim::Channel* channel_;
-  PhaseProfiler* phases_ = nullptr;
   std::uint64_t next_query_ = 0;
 };
 

@@ -38,7 +38,7 @@ void ReferRouter::emit_trace_header() {
   // byte-identical to pre-policy runs; trace_report treats an absent
   // key as greedy.
   if (config_.policy == RoutingPolicy::kRegular) rec.policy = "regular";
-  tracer_->emit(rec);
+  emit(rec);
 }
 
 sim::TraceRecord ReferRouter::trace_base(sim::TraceEvent event,
@@ -66,7 +66,7 @@ void ReferRouter::start(NodeId src, FullId dst, bool stop_at_any_actuator,
   pkt->id = next_packet_id_++;
   pkt->done = std::move(done);
   if (tracing()) {
-    tracer_->emit(trace_base(sim::TraceEvent::kPacketSent, *pkt, src));
+    emit(trace_base(sim::TraceEvent::kPacketSent, *pkt, src));
   }
 
   if (world_->is_actuator(src)) {
@@ -136,7 +136,7 @@ void ReferRouter::enter_overlay(NodeId at, int budget, PacketPtr pkt) {
                         sim::TraceRecord rec = trace_base(
                             sim::TraceEvent::kHopForward, *pkt, at);
                         rec.to = next;
-                        tracer_->emit(rec);
+                        emit(rec);
                       }
                       if (world_->is_actuator(next)) {
                         if (pkt->stop_at_any_actuator) {
@@ -156,7 +156,8 @@ void ReferRouter::enter_overlay(NodeId at, int budget, PacketPtr pkt) {
 
 void ReferRouter::intra_step(Cid cid, Label label, NodeId node,
                              PacketPtr pkt) {
-  PhaseProfiler::Scope phase(phases_, Phase::kRoutingDecide);
+  PhaseProfiler::Scope phase(sim_->instruments().phases,
+                             Phase::kRoutingDecide);
   if (pkt->stop_at_any_actuator && world_->is_actuator(node)) {
     deliver(node, pkt);
     return;
@@ -291,7 +292,8 @@ void ReferRouter::intra_step(Cid cid, Label label, NodeId node,
 void ReferRouter::try_routes(Cid cid, Label label, NodeId node,
                              std::vector<kautz::Route> routes,
                              std::size_t next_choice, PacketPtr pkt) {
-  PhaseProfiler::Scope phase(phases_, Phase::kRoutingDecide);
+  PhaseProfiler::Scope phase(sim_->instruments().phases,
+                             Phase::kRoutingDecide);
   if (next_choice >= routes.size()) {
     // All d successors towards the current target failed.  When the
     // target was a corner actuator of the overlay ascent, exclude it and
@@ -325,7 +327,7 @@ void ReferRouter::try_routes(Cid cid, Label label, NodeId node,
         // every record (see src/verify and RouterConfig::planted_bug).
         if (config_.planted_bug == 1) ++rec.nominal_len;
       }
-      tracer_->emit(rec);
+      emit(rec);
     }
     if (config_.failover == FailoverMode::kRouteGeneration) {
       // BAKE/DFTR-style: instead of deriving the alternative from IDs,
@@ -365,7 +367,7 @@ void ReferRouter::try_routes(Cid cid, Label label, NodeId node,
                    rec.at_label = label.to_string();
                    rec.dst_label = pkt->current_target.to_string();
                    rec.next_label = succ_label.to_string();
-                   tracer_->emit(rec);
+                   emit(rec);
                  }
                  if (forced) pkt->forced_next = forced;
                  intra_step(cid, succ_label, succ_node, std::move(pkt));
@@ -373,7 +375,8 @@ void ReferRouter::try_routes(Cid cid, Label label, NodeId node,
 }
 
 void ReferRouter::inter_step(NodeId actuator, PacketPtr pkt) {
-  PhaseProfiler::Scope phase(phases_, Phase::kRoutingDecide);
+  PhaseProfiler::Scope phase(sim_->instruments().phases,
+                             Phase::kRoutingDecide);
   const auto& cells = topology_->actuator_cells(actuator);
   if (cells.empty()) {
     drop(pkt, sim::DropReason::kNoRoute);
@@ -458,7 +461,7 @@ void ReferRouter::try_successors(NodeId actuator,
             sim::TraceRecord rec =
                 trace_base(sim::TraceEvent::kFailover, *pkt, actuator);
             rec.alt_index = static_cast<int>(next_choice) + 1;
-            tracer_->emit(rec);
+            emit(rec);
           }
           try_successors(actuator, std::move(candidates), next_choice + 1,
                          std::move(pkt));
@@ -469,7 +472,7 @@ void ReferRouter::try_successors(NodeId actuator,
           sim::TraceRecord rec =
               trace_base(sim::TraceEvent::kHopForward, *pkt, actuator);
           rec.to = succ;
-          tracer_->emit(rec);
+          emit(rec);
         }
         inter_step(succ, std::move(pkt));
       });
@@ -566,7 +569,7 @@ void ReferRouter::route_generation_failover(Cid cid, NodeId node,
                 sim::TraceRecord rec =
                     trace_base(sim::TraceEvent::kHopForward, *pkt, node);
                 rec.to = dst_node;
-                tracer_->emit(rec);
+                emit(rec);
               }
               intra_step(cid, target, dst_node, pkt);
             });
@@ -601,7 +604,7 @@ void ReferRouter::record_arc(const Label& u, const Label& next) {
 void ReferRouter::deliver(NodeId at, PacketPtr pkt) {
   ++stats_.packets_delivered;
   if (tracing()) {
-    tracer_->emit(trace_base(sim::TraceEvent::kPacketDelivered, *pkt, at));
+    emit(trace_base(sim::TraceEvent::kPacketDelivered, *pkt, at));
   }
   DeliveryReport report;
   report.delivered = true;
@@ -621,7 +624,7 @@ void ReferRouter::drop(PacketPtr pkt, sim::DropReason reason) {
     sim::TraceRecord rec =
         trace_base(sim::TraceEvent::kPacketDropped, *pkt, -1);
     rec.reason = reason;
-    tracer_->emit(rec);
+    emit(rec);
   }
   DeliveryReport report;
   report.delivered = false;

@@ -16,6 +16,13 @@
 // mobility has stretched the arc beyond range, a one-relay detour through
 // a common physical neighbour is used when available (the paper's
 // "multi-hop path with the lowest delay").
+//
+// Observability (the simulator's Instruments): every forwarding decision
+// emits a routing-level trace event (kPacketSent / kHopForward /
+// kFailover / kPacketDropped / kPacketDelivered) carrying the packet id,
+// overlay labels and Theorem-3.8 nominal lengths -- one branch per
+// decision when nothing records -- and charges Phase::kRoutingDecide
+// (route-cache lookup, alternative ordering, fail-over selection).
 #pragma once
 
 #include <array>
@@ -92,20 +99,6 @@ class ReferRouter {
 
   /// Required for FailoverMode::kRouteGeneration (unused otherwise).
   void set_flooder(net::Flooder* flooder) noexcept { flooder_ = flooder; }
-
-  /// Attaches a tracer: the router emits routing-level events
-  /// (kPacketSent / kHopForward / kFailover / kPacketDropped /
-  /// kPacketDelivered) carrying packet ids, overlay labels and
-  /// Theorem-3.8 nominal lengths at every forwarding decision.  One
-  /// branch per decision when no sink is attached.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attaches the wall-clock phase profiler: every per-hop forwarding
-  /// decision (route-cache lookup, alternative ordering, Theorem 3.8
-  /// fail-over selection) charges Phase::kRoutingDecide.
-  void set_phase_profiler(PhaseProfiler* phases) noexcept {
-    phases_ = phases;
-  }
 
   /// Emits one kTraceHeader record carrying the overlay's Kautz degree
   /// d (no-op without a tracer).  ReferSystem calls this once after a
@@ -224,7 +217,11 @@ class ReferRouter {
 
   /// True when routing-level trace emission is on (one branch).
   [[nodiscard]] bool tracing() const noexcept {
-    return tracer_ && tracer_->enabled();
+    return sim::active_tracer(*sim_) != nullptr;
+  }
+  /// Emits through the simulator's tracer; call only when tracing().
+  void emit(const sim::TraceRecord& rec) const {
+    sim_->instruments().tracer->emit(rec);
   }
   /// A routing-level record pre-filled with time / packet id / hop count.
   [[nodiscard]] sim::TraceRecord trace_base(sim::TraceEvent event,
@@ -238,8 +235,6 @@ class ReferRouter {
   RouterConfig config_;
   Rng rng_;
   net::Flooder* flooder_ = nullptr;
-  sim::Tracer* tracer_ = nullptr;
-  PhaseProfiler* phases_ = nullptr;
   std::int64_t next_packet_id_ = 0;
   Stats stats_;
   /// Repeated (label, target) pairs -- every hop of every flow -- serve

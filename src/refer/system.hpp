@@ -11,6 +11,9 @@
 //   refer.build([&](bool ok) { ... });       // embed K(2,3) cells + CAN
 //   sim.run_until(t);
 //   refer.send_to_actuator(src, bytes, [](const DeliveryReport& r) {...});
+//
+// Every component, the private flooder included, reports to the
+// observers in the simulator's Instruments.
 #pragma once
 
 #include <memory>
@@ -55,13 +58,6 @@ class ReferSystem {
   /// Full (CID, KID) addressing across cells.
   void send_to(NodeId src, FullId dst, std::size_t bytes,
                ReferRouter::DeliveryFn done);
-
-  /// Attaches a tracer to the router: routing-level events (packet ids,
-  /// per-hop forwards, Theorem-3.8 fail-overs, drop reasons) stream
-  /// through it.  Pass nullptr to detach.
-  void set_tracer(sim::Tracer* tracer) noexcept {
-    router_->set_tracer(tracer);
-  }
 
   /// A uniformly random active Kautz sensor (the evaluation picks event
   /// sources among the awake overlay sensors); -1 when none exist.

@@ -4,32 +4,14 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/strings.hpp"
+
 namespace refer::runner {
 
-std::string JsonWriter::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
+void JsonWriter::append_quoted(std::string_view s) {
+  out_.push_back('"');
+  json_escape_append(out_, s);
+  out_.push_back('"');
 }
 
 void JsonWriter::prepare_value() {
@@ -76,14 +58,14 @@ void JsonWriter::key(std::string_view name) {
   assert(!stack_.empty() && stack_.back() == Frame::kObject && !after_key_);
   if (has_item_.back()) out_.push_back(',');
   has_item_.back() = true;
-  out_ += escape(name);
+  append_quoted(name);
   out_.push_back(':');
   after_key_ = true;
 }
 
 void JsonWriter::value(std::string_view s) {
   prepare_value();
-  out_ += escape(s);
+  append_quoted(s);
 }
 
 void JsonWriter::value(bool b) {

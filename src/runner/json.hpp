@@ -54,11 +54,10 @@ class JsonWriter {
     return stack_.empty() && !out_.empty();
   }
 
-  /// Escapes `s` as a JSON string literal including the quotes.
-  [[nodiscard]] static std::string escape(std::string_view s);
-
  private:
   void prepare_value();
+  /// Appends `s` as a quoted, escaped JSON string literal.
+  void append_quoted(std::string_view s);
 
   enum class Frame : std::uint8_t { kObject, kArray };
   std::string out_;

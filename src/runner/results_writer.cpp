@@ -70,11 +70,10 @@ void write_number_array(JsonWriter& w, const char* name,
 }
 
 /// The flight-recorder series as parallel per-bucket arrays, plus the
-/// two derived curves every consumer wants (qos_kbps re-derives the
-/// legacy v3 qos_timeline_kbps values bit-identically; delivery_ratio
-/// is per-bucket delivered/sent).  The wall-clock phase keys exist only
-/// when the run had phase profiling on -- they are nondeterministic and
-/// stay out of the bit-identity comparisons.
+/// per-bucket delivery_ratio (delivered/sent) every consumer wants.  The
+/// wall-clock phase keys exist only when the run had phase profiling on
+/// -- they are nondeterministic and stay out of the bit-identity
+/// comparisons.
 void write_timeseries(JsonWriter& w, const harness::RunMetrics& m) {
   const sim::TimeSeries& ts = m.timeseries;
   w.begin_object();
@@ -86,7 +85,7 @@ void write_timeseries(JsonWriter& w, const harness::RunMetrics& m) {
   write_number_array(w, "sent", ts.sent);
   write_number_array(w, "delivered", ts.delivered);
   write_number_array(w, "qos_delivered", ts.qos_delivered);
-  write_number_array(w, "qos_kbps", m.qos_timeline_kbps);
+  write_number_array(w, "qos_kbps", ts.qos_kbps);
   w.key("delivery_ratio");
   w.begin_array();
   for (std::size_t b = 0; b < ts.buckets(); ++b) {
@@ -197,12 +196,6 @@ void write_metrics(JsonWriter& w, const harness::RunMetrics& m) {
   w.kv("arc_load_max_min", m.arc_load_max_min);
   if (!m.arc_forwards.empty()) {
     write_number_array(w, "arc_forwards", m.arc_forwards);
-  }
-  if (!m.qos_timeline_kbps.empty()) {
-    w.key("qos_timeline_kbps");
-    w.begin_array();
-    for (const double v : m.qos_timeline_kbps) w.value(v);
-    w.end_array();
   }
   if (m.timeseries.bucket_s > 0) {
     w.key("timeseries");

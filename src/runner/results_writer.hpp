@@ -2,6 +2,12 @@
 // run, so BENCH_*.json perf trajectories are first-class instead of
 // scraped ASCII tables.
 //
+// Schema (version 7; v6 minus the top-level per-job
+// "qos_timeline_kbps" array, which duplicated "timeseries.qos_kbps":
+// the within-run QoS curve is only in the timeseries section, and a run
+// without a timeline carries neither key.  Readers still accept the v3
+// key on older documents.)
+//
 // Schema (version 6; v5 minus the three retired perf switches: the
 // scenario object no longer carries the spatial-index, neighbor-cache
 // and event-queue toggles.  The grid index and neighbor cache are always
@@ -75,7 +81,7 @@
 
 namespace refer::runner {
 
-inline constexpr int kResultsSchemaVersion = 6;
+inline constexpr int kResultsSchemaVersion = 7;
 
 /// `git describe --always --dirty` captured when the build was
 /// configured ("unknown" outside a git checkout).

@@ -13,7 +13,11 @@ Channel::Channel(Simulator& sim, World& world, EnergyTracker& energy, Rng rng,
       world_(&world),
       energy_(&energy),
       rng_(rng),
-      config_(config) {
+      config_(config),
+      queue_wait_us_(sim.instruments().stats
+                         ? &sim.instruments().stats->histogram(
+                               "channel.queue_wait_us")
+                         : nullptr) {
   // Size the per-node medium state now and on every node addition, so
   // reserve_tx_slot never has to check.
   size_listener_ = world_->add_size_listener([this](std::size_t n) {
@@ -23,11 +27,6 @@ Channel::Channel(Simulator& sim, World& world, EnergyTracker& energy, Rng rng,
 }
 
 Channel::~Channel() { world_->remove_size_listener(size_listener_); }
-
-void Channel::set_stats(StatsRegistry* registry) {
-  queue_wait_us_ =
-      registry ? &registry->histogram("channel.queue_wait_us") : nullptr;
-}
 
 double Channel::frame_time(std::size_t bytes) const noexcept {
   return config_.mac_overhead_s +
@@ -44,7 +43,8 @@ Time Channel::reserve_tx_slot(NodeId node, double duration) {
   busy_until_[idx] = end;
   if (config_.mac == MacMode::kCsma) {
     // CSMA: the medium around the sender is occupied; in-range nodes defer.
-    PhaseProfiler::Scope phase(phases_, Phase::kMediumScan);
+    PhaseProfiler::Scope phase(sim_->instruments().phases,
+                               Phase::kMediumScan);
     world_->visit_reachable(node, [this, end](NodeId n) {
       auto& busy = busy_until_[static_cast<std::size_t>(n)];
       busy = std::max(busy, end);
@@ -53,22 +53,30 @@ Time Channel::reserve_tx_slot(NodeId node, double duration) {
   return start;
 }
 
+void Channel::record_queue_wait(Time start) {
+  const double us = (start - sim_->now()) * 1e6;
+  if (queue_wait_us_) queue_wait_us_->record(us);
+  if (TelemetryRecorder* telemetry = sim_->instruments().telemetry) {
+    telemetry->on_queue_wait(sim_->now(), us);
+  }
+}
+
 void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
                       EnergyBucket bucket, UnicastDone done) {
   assert(from != to);
   ++stats_.unicasts_sent;
-  if (tracer_ && tracer_->enabled()) {
-    tracer_->emit(frame_record(sim_->now(), TraceEvent::kUnicastQueued,
-                               from, to, bytes, bucket));
+  if (Tracer* tracer = active_tracer(*sim_)) {
+    tracer->emit(frame_record(sim_->now(), TraceEvent::kUnicastQueued, from,
+                              to, bytes, bucket));
   }
   if (!world_->alive(from)) {
     // A dead node cannot transmit; its pending sends vanish.  The trace
     // still records the failure -- trace_report's hop chains would
     // otherwise see a queued send with no outcome.
     ++stats_.unicasts_failed;
-    if (tracer_ && tracer_->enabled()) {
-      tracer_->emit(frame_record(sim_->now(), TraceEvent::kUnicastFailed,
-                                 from, to, 0, bucket));
+    if (Tracer* tracer = active_tracer(*sim_)) {
+      tracer->emit(frame_record(sim_->now(), TraceEvent::kUnicastFailed,
+                                from, to, 0, bucket));
     }
     if (done) sim_->schedule_in(config_.ack_timeout_s, [done] { done(false); });
     return;
@@ -76,10 +84,7 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
   const double airtime =
       frame_time(bytes) + rng_.uniform(0.0, config_.max_jitter_s);
   const Time start = reserve_tx_slot(from, airtime);
-  if (queue_wait_us_) queue_wait_us_->record((start - sim_->now()) * 1e6);
-  if (telemetry_) {
-    telemetry_->on_queue_wait(sim_->now(), (start - sim_->now()) * 1e6);
-  }
+  record_queue_wait(start);
   const Time deliver_at = start + airtime;
   const bool lost = rng_.chance(config_.loss_probability);
   sim_->schedule_tagged(deliver_at, "channel.unicast",
@@ -88,11 +93,11 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
     // TX energy is spent whether or not the frame arrives.
     energy_->charge_tx(static_cast<std::size_t>(from), bucket);
     const bool ok = !lost && world_->can_reach(from, to);
-    if (tracer_ && tracer_->enabled()) {
-      tracer_->emit(frame_record(sim_->now(),
-                                 ok ? TraceEvent::kUnicastDelivered
-                                    : TraceEvent::kUnicastFailed,
-                                 from, to, 0, bucket));
+    if (Tracer* tracer = active_tracer(*sim_)) {
+      tracer->emit(frame_record(sim_->now(),
+                                ok ? TraceEvent::kUnicastDelivered
+                                   : TraceEvent::kUnicastFailed,
+                                from, to, 0, bucket));
     }
     if (ok) {
       energy_->charge_rx(static_cast<std::size_t>(to), bucket);
@@ -111,17 +116,14 @@ void Channel::broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
                         ReceiveFn on_receive, double range_override) {
   ++stats_.broadcasts_sent;
   if (!world_->alive(from)) return;
-  if (tracer_ && tracer_->enabled()) {
-    tracer_->emit(frame_record(sim_->now(), TraceEvent::kBroadcast, from, -1,
-                               bytes, bucket));
+  if (Tracer* tracer = active_tracer(*sim_)) {
+    tracer->emit(frame_record(sim_->now(), TraceEvent::kBroadcast, from, -1,
+                              bytes, bucket));
   }
   const double airtime =
       frame_time(bytes) + rng_.uniform(0.0, config_.max_jitter_s);
   const Time start = reserve_tx_slot(from, airtime);
-  if (queue_wait_us_) queue_wait_us_->record((start - sim_->now()) * 1e6);
-  if (telemetry_) {
-    telemetry_->on_queue_wait(sim_->now(), (start - sim_->now()) * 1e6);
-  }
+  record_queue_wait(start);
   sim_->schedule_tagged(start + airtime, "channel.broadcast",
                         [this, from, bucket, range_override,
                          on_receive = std::move(on_receive)] {

@@ -16,6 +16,11 @@
 // Energy: every frame transmission charges the sender TX energy; every
 // successful reception charges the receiver RX energy (broadcast charges
 // every in-range receiver), per the paper's per-packet model.
+//
+// Observability (the simulator's Instruments): frame events go to the
+// tracer, MAC queue waits to the "channel.queue_wait_us" histogram and
+// the flight recorder, and the CSMA neighbourhood defer charges
+// Phase::kMediumScan.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/phase_profiler.hpp"
 #include "common/rng.hpp"
 #include "common/stats_registry.hpp"
 #include "sim/energy.hpp"
@@ -32,8 +36,6 @@
 #include "sim/world.hpp"
 
 namespace refer::sim {
-
-class TelemetryRecorder;  // sim/telemetry.hpp
 
 /// Medium-access model (ablation knob; kCsma is the evaluated default).
 enum class MacMode {
@@ -109,34 +111,15 @@ class Channel {
   [[nodiscard]] std::vector<std::pair<NodeId, double>> busiest_nodes(
       std::size_t top) const;
 
-  /// Attaches a tracer; every frame event is emitted through it.  Pass
-  /// nullptr to detach.
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attaches a stats registry: per-frame MAC queue waits (time between a
-  /// send request and its TX slot, µs) stream into histogram
-  /// "channel.queue_wait_us".  Pass nullptr to detach.  One branch per
-  /// frame when detached; sampling never perturbs simulation state.
-  void set_stats(StatsRegistry* registry);
-
-  /// Attaches the run's flight recorder: every frame's queue wait also
-  /// streams into the per-bucket telemetry series.  Pass nullptr to
-  /// detach; same one-branch / never-perturbs contract as set_stats.
-  void set_telemetry(TelemetryRecorder* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
-
-  /// Attaches the wall-clock phase profiler: the CSMA neighbourhood
-  /// defer in reserve_tx_slot charges Phase::kMediumScan.
-  void set_phase_profiler(PhaseProfiler* phases) noexcept {
-    phases_ = phases;
-  }
-
  private:
   /// Earliest time `node` can start transmitting (its neighbourhood's
   /// medium must be free); reserves the slot for the node *and* defers
   /// every node in range (CSMA).
   Time reserve_tx_slot(NodeId node, double duration);
+  /// Streams the MAC queue wait of a frame requested now and sent at
+  /// `start` (µs) into the "channel.queue_wait_us" histogram and the
+  /// flight recorder.  Sampling never perturbs simulation state.
+  void record_queue_wait(Time start);
 
   Simulator* sim_;
   World* world_;
@@ -147,10 +130,9 @@ class Channel {
   std::vector<Time> busy_until_;  ///< sized by the World listener, not lazily
   std::vector<double> airtime_;
   int size_listener_ = -1;
-  Tracer* tracer_ = nullptr;
-  Histogram* queue_wait_us_ = nullptr;  // owned by the attached registry
-  TelemetryRecorder* telemetry_ = nullptr;
-  PhaseProfiler* phases_ = nullptr;
+  /// "channel.queue_wait_us" of the context's registry, resolved at
+  /// construction so the per-frame sample needs no lookup.
+  Histogram* queue_wait_us_ = nullptr;
 };
 
 }  // namespace refer::sim

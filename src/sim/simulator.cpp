@@ -36,16 +36,15 @@ Event Simulator::pop_event() {
   return ev;
 }
 
-void Simulator::set_profiler(StatsRegistry* registry) {
-  profiler_ = registry;
-  profile_cache_.clear();
-}
-
 Histogram* Simulator::profile_histogram(const char* tag) {
+  if (profile_registry_ != instruments_.stats) {  // the context was refilled
+    profile_cache_.clear();
+    profile_registry_ = instruments_.stats;
+  }
   for (const auto& [t, h] : profile_cache_) {
     if (t == tag) return h;
   }
-  Histogram* h = &profiler_->histogram(
+  Histogram* h = &profile_registry_->histogram(
       std::string("sim.event_us.") + (tag ? tag : "other"));
   profile_cache_.emplace_back(tag, h);
   return h;
@@ -56,8 +55,8 @@ void Simulator::execute(Event& ev) {
   ++executed_;
   // Wall-clock attribution: every executed event charges the kernel
   // dispatch phase (inclusive of the subsystem phases it nests).
-  PhaseProfiler::Scope phase(phase_profiler_, Phase::kKernelDispatch);
-  if (profiler_) {
+  PhaseProfiler::Scope phase(instruments_.phases, Phase::kKernelDispatch);
+  if (instruments_.profile_events && instruments_.stats) {
     const auto t0 = std::chrono::steady_clock::now();
     ev.fn();
     const double us = std::chrono::duration<double, std::micro>(

@@ -15,13 +15,16 @@
 //     scheduling never allocates.
 //
 // Observability: the kernel always tracks the peak event-queue depth
-// (one compare per push).  Attaching a profiler (set_profiler) times the
-// wall-clock execution of every event and records it into a per-tag
-// histogram "sim.event_us.<tag>" of the given StatsRegistry -- the hook
-// every hot-path optimisation PR reports through.  Tags are optional
-// static strings passed at scheduling time; untagged events land in
+// (one compare per push) and carries the run's instrumentation context
+// (Instruments): every layer built on this simulator reads its tracer,
+// stats registry, phase profiler and flight recorder from here.  With
+// Instruments::profile_events on, the kernel times the wall-clock
+// execution of every event into a per-tag histogram
+// "sim.event_us.<tag>" of the context's StatsRegistry -- the hook
+// hot-path optimisations report through.  Tags are optional static
+// strings passed at scheduling time; untagged events land in
 // "sim.event_us.other".  Profiling costs two clock reads per event when
-// attached and one branch when not.
+// on and one branch when off.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +42,30 @@ class Histogram;
 
 namespace refer::sim {
 
+class Tracer;             // sim/trace.hpp
+class TelemetryRecorder;  // sim/telemetry.hpp
+
 /// Simulation time in seconds.
 using Time = double;
+
+/// The run's observers: one context per simulation run, kept in its
+/// Simulator, from which every instrumented layer (World, Channel,
+/// net::Flooder, ReferRouter, app::ControlLoopEngine, TelemetryRecorder)
+/// reads them -- no layer holds observer pointers of its own.  Every
+/// pointer is optional (nullptr = not observed) and must stay valid
+/// while anything runs on the simulator.  Fill it before building layers
+/// on the simulator: Channel registers its "channel.queue_wait_us"
+/// histogram at construction.  Observing never perturbs simulation
+/// state.
+struct Instruments {
+  Tracer* tracer = nullptr;  ///< trace events; emits only with a sink/tap
+  StatsRegistry* stats = nullptr;  ///< streamed counters and histograms
+  PhaseProfiler* phases = nullptr;  ///< wall-clock phase accounts
+  /// Flight recorder; records nothing before TelemetryRecorder::start.
+  TelemetryRecorder* telemetry = nullptr;
+  /// Kernel event profile into stats' "sim.event_us.<tag>" histograms.
+  bool profile_events = false;
+};
 
 /// One scheduled closure.  Ordered by (at, seq); seq is the scheduling
 /// sequence number, which makes equal-time execution FIFO and runs
@@ -70,8 +95,8 @@ class Simulator {
   }
 
   /// Like schedule_at, with a profiling tag.  `tag` must outlive the
-  /// simulator (pass a string literal); it only matters when a profiler
-  /// is attached.
+  /// simulator (pass a string literal); it only matters when the event
+  /// profile is on.
   template <typename F>
   void schedule_tagged(Time at, const char* tag, F&& fn) {
     schedule_event(at, tag, EventClosure(pool_, std::forward<F>(fn)));
@@ -119,16 +144,11 @@ class Simulator {
     return pool_.stats();
   }
 
-  /// Attaches a kernel profiler: each executed event's wall-time (µs) is
-  /// recorded into `registry`'s histogram "sim.event_us.<tag>".  Pass
-  /// nullptr to detach.  The registry must outlive the attachment.
-  void set_profiler(StatsRegistry* registry);
-
-  /// Attaches the wall-clock phase profiler: every executed event
-  /// charges Phase::kKernelDispatch (common/phase_profiler.hpp).  Pass
-  /// nullptr to detach; a disabled profiler costs one branch per event.
-  void set_phase_profiler(PhaseProfiler* phases) noexcept {
-    phase_profiler_ = phases;
+  /// The run's instrumentation context.  Every executed event charges
+  /// its phase profiler's Phase::kKernelDispatch.
+  [[nodiscard]] Instruments& instruments() noexcept { return instruments_; }
+  [[nodiscard]] const Instruments& instruments() const noexcept {
+    return instruments_;
   }
 
  private:
@@ -142,10 +162,12 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t peak_pending_ = 0;
-  StatsRegistry* profiler_ = nullptr;
-  PhaseProfiler* phase_profiler_ = nullptr;
-  /// Tag -> histogram cache; tags are interned by pointer (literals), so
-  /// a small linear scan beats hashing.  Never allocates on the hit path.
+  Instruments instruments_;
+  /// Tag -> histogram cache of profile_registry_ (the context's registry
+  /// when the cache was filled); tags are interned by pointer (literals),
+  /// so a small linear scan beats hashing.  Never allocates on the hit
+  /// path.
+  StatsRegistry* profile_registry_ = nullptr;
   std::vector<std::pair<const char*, Histogram*>> profile_cache_;
   ClosurePool pool_;
   /// Binary heap keyed on (at, seq); heap_.front() runs next.  Declared

@@ -9,33 +9,19 @@
 
 namespace refer::sim {
 
-std::vector<double> TimeSeries::qos_timeline_kbps(
-    std::size_t packet_bytes) const {
-  // The exact v3 arithmetic (harness record_timeline): count * bits /
-  // 1000 / bucket_s -- the back-compat regression test pins identity.
-  std::vector<double> out;
-  out.reserve(qos_delivered.size());
-  const double bits_per_pkt = static_cast<double>(packet_bytes) * 8.0;
-  for (const std::uint64_t count : qos_delivered) {
-    out.push_back(static_cast<double>(count) * bits_per_pkt / 1000.0 /
-                  bucket_s);
-  }
-  return out;
-}
-
 void TelemetryRecorder::start(Simulator& sim, const Channel* channel,
                               const EnergyTracker* energy,
                               std::function<void(GaugeSnapshot&)> gauges,
                               double measure_from, double window_s,
                               double bucket_s, std::size_t n_nodes,
-                              PhaseProfiler* phases) {
+                              std::size_t packet_bytes) {
   assert(bucket_s > 0 && window_s > 0);
   sim_ = &sim;
   channel_ = channel;
   energy_ = energy;
   gauges_ = std::move(gauges);
-  phases_ = phases;
   bucket_s_ = bucket_s;
+  bits_per_packet_ = static_cast<double>(packet_bytes) * 8.0;
   start_s_ = measure_from;
   window_s_ = window_s;
   n_buckets_ = static_cast<std::size_t>(std::ceil(window_s / bucket_s));
@@ -49,6 +35,7 @@ void TelemetryRecorder::start(Simulator& sim, const Channel* channel,
   series_.sent.assign(n, 0);
   series_.delivered.assign(n, 0);
   series_.qos_delivered.assign(n, 0);
+  series_.qos_kbps.assign(n, 0.0);
   series_.failovers.assign(n, 0);
   series_.delay_p50_ms.assign(n, 0.0);
   series_.delay_p95_ms.assign(n, 0.0);
@@ -65,7 +52,8 @@ void TelemetryRecorder::start(Simulator& sim, const Channel* channel,
   series_.top_airtime_rate.assign(n * kTopK, 0.0);
   series_.top_energy_node.assign(n * kTopK, -1);
   series_.top_energy_rate_w.assign(n * kTopK, 0.0);
-  if (phases_ && phases_->enabled()) {
+  if (const PhaseProfiler* phases = sim.instruments().phases;
+      phases && phases->enabled()) {
     series_.phase_wall_us.assign(n * static_cast<std::size_t>(kPhaseCount),
                                  0.0);
   }
@@ -92,10 +80,10 @@ void TelemetryRecorder::start(Simulator& sim, const Channel* channel,
         prev_energy_j_[i] = energy_->node_total(i);
       }
     }
-    if (phases_) {
+    if (const PhaseProfiler* phases = sim_->instruments().phases) {
       for (int p = 0; p < kPhaseCount; ++p) {
         prev_phase_ns_[static_cast<std::size_t>(p)] =
-            phases_->total_ns(static_cast<Phase>(p));
+            phases->total_ns(static_cast<Phase>(p));
       }
     }
   });
@@ -264,10 +252,11 @@ void TelemetryRecorder::gauge_tick(std::size_t bucket) {
       }
     }
   }
-  if (!series_.phase_wall_us.empty() && phases_) {
+  const PhaseProfiler* phases = sim_->instruments().phases;
+  if (!series_.phase_wall_us.empty() && phases) {
     for (int p = 0; p < kPhaseCount; ++p) {
       const auto idx = static_cast<std::size_t>(p);
-      const std::uint64_t ns = phases_->total_ns(static_cast<Phase>(p));
+      const std::uint64_t ns = phases->total_ns(static_cast<Phase>(p));
       series_.phase_wall_us[bucket * static_cast<std::size_t>(kPhaseCount) +
                             idx] =
           static_cast<double>(ns - prev_phase_ns_[idx]) / 1000.0;
@@ -278,11 +267,13 @@ void TelemetryRecorder::gauge_tick(std::size_t bucket) {
 
 void TelemetryRecorder::finalize() {
   if (!active()) return;
-  // Queue-wait means from the out-of-band sums; percentile cursors
-  // flush their open bucket.
+  // QoS throughput and queue-wait means from the per-bucket counts;
+  // percentile cursors flush their open bucket.
   flush_delay_cursor(n_buckets_);
   flush_queue_wait_cursor(n_buckets_);
   for (std::size_t b = 0; b < n_buckets_; ++b) {
+    series_.qos_kbps[b] = static_cast<double>(series_.qos_delivered[b]) *
+                          bits_per_packet_ / 1000.0 / bucket_s_;
     if (queue_waits_[b]) {
       series_.queue_wait_mean_us[b] =
           queue_wait_sum_us_[b] / static_cast<double>(queue_waits_[b]);

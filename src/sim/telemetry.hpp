@@ -69,6 +69,9 @@ struct TimeSeries {
   std::vector<std::uint64_t> sent;
   std::vector<std::uint64_t> delivered;
   std::vector<std::uint64_t> qos_delivered;
+  /// QoS throughput per bucket: qos_delivered[b] * packet_bytes * 8 /
+  /// 1000 / bucket_s, the exact schema-v3 arithmetic, filled at finalize.
+  std::vector<double> qos_kbps;
   std::vector<std::uint64_t> failovers;
   std::vector<double> delay_p50_ms;
   std::vector<double> delay_p95_ms;
@@ -94,11 +97,6 @@ struct TimeSeries {
   std::uint64_t late_samples = 0;
 
   [[nodiscard]] std::size_t buckets() const noexcept { return sent.size(); }
-
-  /// The legacy v3 qos_timeline_kbps vector, re-derived bit-identically:
-  /// qos_delivered[b] * packet_bytes * 8 / 1000 / bucket_s.
-  [[nodiscard]] std::vector<double> qos_timeline_kbps(
-      std::size_t packet_bytes) const;
 };
 
 /// Cumulative gauge values the harness-side source fills at every bucket
@@ -121,13 +119,14 @@ class TelemetryRecorder {
   /// the corresponding top-K series stays at node -1); `gauges` is
   /// invoked at each boundary to fill cumulative totals (set once here;
   /// the call itself must not allocate).  `n_nodes` sizes the per-node
-  /// previous-value tables.  `phases`, when non-null and enabled,
+  /// previous-value tables; `packet_bytes` converts QoS deliveries to
+  /// qos_kbps.  The phase profiler in `sim`'s instruments, when enabled,
   /// contributes the per-bucket wall-clock attribution series.
   void start(Simulator& sim, const Channel* channel,
              const EnergyTracker* energy,
              std::function<void(GaugeSnapshot&)> gauges, double measure_from,
              double window_s, double bucket_s, std::size_t n_nodes,
-             PhaseProfiler* phases);
+             std::size_t packet_bytes);
 
   [[nodiscard]] bool active() const noexcept { return bucket_s_ > 0; }
 
@@ -177,9 +176,9 @@ class TelemetryRecorder {
   const Channel* channel_ = nullptr;
   const EnergyTracker* energy_ = nullptr;
   std::function<void(GaugeSnapshot&)> gauges_;
-  PhaseProfiler* phases_ = nullptr;
 
   double bucket_s_ = 0;
+  double bits_per_packet_ = 0;
   double start_s_ = 0;
   double window_s_ = 0;
   std::size_t n_buckets_ = 0;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/strings.hpp"
+
 namespace refer::sim {
 
 const char* to_string(TraceEvent event) noexcept {
@@ -47,34 +49,6 @@ const char* to_string(DropReason reason) noexcept {
     case DropReason::kDropReasonCount: break;
   }
   return "?";
-}
-
-void json_escape_append(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  json_escape_append(out, s);
-  return out;
 }
 
 namespace {

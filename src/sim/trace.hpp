@@ -19,7 +19,7 @@
 //   sim::Tracer tracer;
 //   sim::JsonlTraceWriter writer("run.jsonl");
 //   tracer.set_sink(std::ref(writer));
-//   channel.set_tracer(&tracer);
+//   sim.instruments().tracer = &tracer;  // every layer on `sim` emits
 //
 // A Tracer (and any sink) is SINGLE-RUN-LOCAL: it belongs to exactly one
 // simulation run and is only ever used from the thread executing that
@@ -170,11 +170,12 @@ class Tracer {
 #endif
 };
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters).
-[[nodiscard]] std::string json_escape(std::string_view s);
-/// Same escaping, appended to `out` without allocating a temporary.
-void json_escape_append(std::string& out, std::string_view s);
+/// The tracer in `sim`'s instruments when it is recording, else nullptr:
+/// the one-branch gate every emitting layer checks.
+[[nodiscard]] inline Tracer* active_tracer(const Simulator& sim) noexcept {
+  Tracer* tracer = sim.instruments().tracer;
+  return tracer && tracer->enabled() ? tracer : nullptr;
+}
 
 /// Writes records as JSON lines: one object per event, machine-parsable.
 /// Frame-level keys (t/event/from/to/bytes/bucket) are always present;

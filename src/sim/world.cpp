@@ -60,8 +60,8 @@ bool World::alive(NodeId id) const {
 void World::set_alive(NodeId id, bool alive) {
   assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
   auto& node = nodes_[static_cast<std::size_t>(id)];
-  if (node.alive != alive && tracer_ && tracer_->enabled()) {
-    tracer_->emit(frame_record(
+  if (Tracer* tracer = active_tracer(*sim_); tracer && node.alive != alive) {
+    tracer->emit(frame_record(
         sim_->now(), alive ? TraceEvent::kNodeUp : TraceEvent::kNodeDown, id,
         -1, 0, EnergyBucket::kMaintenance));
   }
@@ -185,7 +185,8 @@ void World::bin_node(NodeId id, Time now) {
 }
 
 NodeId World::closest_actuator(NodeId id) {
-  PhaseProfiler::Scope phase(phases_, Phase::kSpatialQuery);
+  PhaseProfiler::Scope phase(sim_->instruments().phases,
+                             Phase::kSpatialQuery);
   const Point p = position(id);
   if (ensure_index()) {
     // Ring search over the static actuator grid: every point of a

@@ -34,10 +34,6 @@
 #include "sim/spatial_index.hpp"
 
 namespace refer::sim {
-class Tracer;  // sim/trace.hpp
-}
-
-namespace refer::sim {
 
 enum class NodeKind { kSensor, kActuator };
 
@@ -116,16 +112,9 @@ class World {
 
   /// Liveness: faulty/broken-down nodes neither transmit nor receive.
   [[nodiscard]] bool alive(NodeId id) const;
+  /// Liveness flips emit kNodeDown / kNodeUp through the simulator's
+  /// tracer.
   void set_alive(NodeId id, bool alive);
-
-  /// Attaches a tracer: liveness flips emit kNodeDown / kNodeUp events.
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attaches the wall-clock phase profiler: every geometric query
-  /// (visit_reachable, closest_actuator) charges Phase::kSpatialQuery.
-  void set_phase_profiler(PhaseProfiler* phases) noexcept {
-    phases_ = phases;
-  }
 
   /// True iff `from` can reach `to` right now: both alive and the distance
   /// is within the *sender's* transmission range.  Already O(1) -- a
@@ -139,7 +128,9 @@ class World {
   /// embedding protocol's path queries); 0 uses the node's own range.
   template <typename Fn>
   void visit_reachable(NodeId from, Fn&& fn, double range_override = 0) {
-    PhaseProfiler::Scope phase(phases_, Phase::kSpatialQuery);
+    // Every geometric query charges the simulator's phase profiler.
+    PhaseProfiler::Scope phase(sim_->instruments().phases,
+                               Phase::kSpatialQuery);
     if (!alive(from)) return;
     const Point p = position(from);
     const double r = range_override > 0 ? range_override : range(from);
@@ -340,8 +331,6 @@ class World {
 
   Rect area_;
   Simulator* sim_;
-  Tracer* tracer_ = nullptr;
-  PhaseProfiler* phases_ = nullptr;
   std::vector<Node> nodes_;
 
   bool index_dirty_ = true;

@@ -13,6 +13,7 @@
 #include "analysis/trace_report.hpp"
 #include "harness/experiment.hpp"
 #include "refer/system.hpp"
+#include "runner/json.hpp"
 #include "runner/results_writer.hpp"
 #include "sim/trace.hpp"
 
@@ -400,7 +401,7 @@ TEST(TraceReport, RouteGenerationFloodsKeepHopChainsConnected) {
     sim::Tracer tracer;
     sim::JsonlTraceWriter writer(path);
     tracer.set_sink(std::ref(writer));
-    system.set_tracer(&tracer);
+    simulator.instruments().tracer = &tracer;
     bool ok = false;
     system.build([&](bool r) { ok = r; });
     simulator.run_until(30);
@@ -477,6 +478,30 @@ TEST(JsonDoc, RejectsMalformed) {
   EXPECT_FALSE(parse_json_doc(R"([1,2,)").has_value());
   EXPECT_FALSE(parse_json_doc("").has_value());
   EXPECT_TRUE(parse_json_doc("  [1, 2]  ").has_value());
+}
+
+TEST(JsonDoc, RejectsEscapesJsonDoesNotDefine) {
+  EXPECT_FALSE(parse_json_doc(R"(["a\qb"])").has_value());
+  EXPECT_FALSE(parse_json_doc(R"(["\u00g1"])").has_value());
+  EXPECT_FALSE(parse_json_doc(R"(["\u001"])").has_value());
+  const auto ok = parse_json_doc(R"(["\"\\\/\b\f\n\r\t\u0041\u00e9"])");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->items[0].str, "\"\\/\b\f\n\r\tA?");
+}
+
+TEST(JsonDoc, ControlCharactersRoundTripThroughTheWriter) {
+  // The writers escape control characters as \u00XX; the reader must
+  // decode them back, not substitute them.
+  const std::string original = "x\x01y\x1f \"q\" \\ \n";
+  runner::JsonWriter w;
+  w.begin_object();
+  w.kv("s", original);
+  w.end_object();
+  const auto doc = parse_json_doc(w.str());
+  ASSERT_TRUE(doc.has_value());
+  const std::string* s = doc->find("s")->string_or_null();
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(*s, original);
 }
 
 // ------------------------------------------------- timeline detectors
@@ -623,7 +648,7 @@ TEST(TimelineReport, LocalizesScriptedActuatorFaultDip) {
   writer.add_records({rec});
   const auto doc = load_timeline_doc(writer.to_json());
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->schema_version, 6);
+  EXPECT_EQ(doc->schema_version, 7);
   ASSERT_EQ(doc->jobs.size(), 1u);
   EXPECT_TRUE(doc->jobs[0].v4);
 

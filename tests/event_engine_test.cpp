@@ -295,7 +295,8 @@ TEST_P(EventEngineTest, OversizedCapturesAreAllocationFreeOnceWarm) {
 TEST_P(EventEngineTest, ProfilerHistogramHitPathDoesNotAllocate) {
   Simulator simulator;
   StatsRegistry registry;
-  simulator.set_profiler(&registry);
+  simulator.instruments().stats = &registry;
+  simulator.instruments().profile_events = true;
   // First tagged event creates "sim.event_us.hot" (allocates once).
   simulator.schedule_in_tagged(0.1, "hot", [] {});
   simulator.schedule_in(0.2, [] {});  // warms "sim.event_us.other" too

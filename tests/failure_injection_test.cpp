@@ -35,8 +35,7 @@ TEST_P(LossyChannelTest, ReferSurvivesRandomFrameLoss) {
   sim::Tracer tracer;
   sim::CountingTraceSink sink;
   tracer.set_sink(std::ref(sink));
-  lossy.set_tracer(&tracer);
-  refer_sys.set_tracer(&tracer);
+  sim.instruments().tracer = &tracer;
   bool ok = false;
   refer_sys.build([&](bool r) { ok = r; });
   sim.run_until(sim.now() + 30.0);

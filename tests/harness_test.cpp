@@ -158,9 +158,9 @@ TEST(Harness, TimelineBucketsSumToTotal) {
   sc.timeline_bucket_s = 10;
   const RunMetrics m = run_once(SystemKind::kRefer, sc);
   ASSERT_TRUE(m.build_ok);
-  ASSERT_EQ(m.qos_timeline_kbps.size(), 3u);
+  ASSERT_EQ(m.timeseries.qos_kbps.size(), 3u);
   double total_kbits = 0;
-  for (const double kbps : m.qos_timeline_kbps) {
+  for (const double kbps : m.timeseries.qos_kbps) {
     total_kbits += kbps * sc.timeline_bucket_s;
   }
   const double expected_kbits =
@@ -171,7 +171,7 @@ TEST(Harness, TimelineBucketsSumToTotal) {
 
 TEST(Harness, TimelineOffByDefault) {
   const RunMetrics m = run_once(SystemKind::kRefer, quick_scenario());
-  EXPECT_TRUE(m.qos_timeline_kbps.empty());
+  EXPECT_TRUE(m.timeseries.qos_kbps.empty());
 }
 
 TEST(Harness, ObservabilitySnapshotCoversRouterChannelAndKernel) {

@@ -130,6 +130,21 @@ TEST_F(EmbeddingTest, PaperScenarioEmbedsFourCompleteCells) {
   }
 }
 
+TEST_F(EmbeddingTest, BuildChargesFloodingToTheSimulatorsPhaseProfiler) {
+  // ReferSystem's private flooder reads the phase profiler from the
+  // simulator's instruments like every other layer, so the embedding's
+  // path-query floods land in Phase::kFlooding.
+  PhaseProfiler phases;
+  phases.set_enabled(true);
+  sim.instruments().phases = &phases;
+  add_quincunx_actuators();
+  add_static_sensors(200);
+  ASSERT_TRUE(build_refer());
+  EXPECT_GT(phases.count(Phase::kFlooding), 0u);
+  EXPECT_GT(phases.count(Phase::kKernelDispatch), 0u);
+  sim.instruments().phases = nullptr;  // `phases` dies before the fixture
+}
+
 TEST_F(EmbeddingTest, SensorAssignmentsAreABijection) {
   add_quincunx_actuators();
   add_static_sensors(200);

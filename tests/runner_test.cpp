@@ -341,7 +341,7 @@ TEST(ResultsWriter, EmitsSchemaValidDocument) {
   writer.add_series("x", points);
 
   const std::string doc = writer.to_json();
-  EXPECT_NE(doc.find("\"schema_version\":6"), std::string::npos);
+  EXPECT_NE(doc.find("\"schema_version\":7"), std::string::npos);
   EXPECT_NE(doc.find("\"app_enabled\":"), std::string::npos);
   EXPECT_NE(doc.find("\"app_loop_completion_ratio\""), std::string::npos);
   EXPECT_NE(doc.find("\"observability\":["), std::string::npos);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/stats_registry.hpp"
+#include "common/strings.hpp"
 #include "sim/channel.hpp"
 #include "sim/energy.hpp"
 #include "sim/mobility.hpp"
@@ -285,7 +286,7 @@ TEST_F(ChannelTest, DeadSenderEmitsUnicastFailedTrace) {
   Tracer tracer;
   CountingTraceSink counter;
   tracer.set_sink(std::ref(counter));
-  channel.set_tracer(&tracer);
+  sim.instruments().tracer = &tracer;
   const NodeId a = world.add_static_sensor({0, 0}, 100);
   const NodeId b = world.add_static_sensor({50, 0}, 100);
   world.set_alive(a, false);
@@ -482,7 +483,7 @@ TEST_F(ChannelTest, TracerSeesEveryFrameEvent) {
   Tracer tracer;
   CountingTraceSink counter;
   tracer.set_sink(std::ref(counter));
-  channel.set_tracer(&tracer);
+  sim.instruments().tracer = &tracer;
   const NodeId a = world.add_static_sensor({0, 0}, 100);
   const NodeId b = world.add_static_sensor({50, 0}, 100);
   const NodeId far = world.add_static_sensor({400, 0}, 100);
@@ -500,7 +501,7 @@ TEST_F(ChannelTest, TracerDetachStopsEmission) {
   Tracer tracer;
   CountingTraceSink counter;
   tracer.set_sink(std::ref(counter));
-  channel.set_tracer(&tracer);
+  sim.instruments().tracer = &tracer;
   tracer.clear_sink();
   const NodeId a = world.add_static_sensor({0, 0}, 100);
   const NodeId b = world.add_static_sensor({50, 0}, 100);
@@ -515,7 +516,7 @@ TEST_F(ChannelTest, JsonlTraceWriterProducesParsableLines) {
     Tracer tracer;
     JsonlTraceWriter writer(path);
     tracer.set_sink(std::ref(writer));
-    channel.set_tracer(&tracer);
+    sim.instruments().tracer = &tracer;
     const NodeId a = world.add_static_sensor({0, 0}, 100);
     const NodeId b = world.add_static_sensor({50, 0}, 100);
     channel.unicast(a, b, 500, EnergyBucket::kData, nullptr);
@@ -539,7 +540,7 @@ TEST_F(WorldTest, LivenessFlipsEmitTraceEvents) {
   Tracer tracer;
   CountingTraceSink counter;
   tracer.set_sink(std::ref(counter));
-  world.set_tracer(&tracer);
+  sim.instruments().tracer = &tracer;
   const NodeId s = world.add_static_sensor({0, 0}, 100);
   world.set_alive(s, false);
   world.set_alive(s, false);  // no flip: no event
@@ -658,7 +659,8 @@ TEST(SimulatorObservability, TracksPeakQueueDepth) {
 TEST(SimulatorObservability, ProfilerRecordsPerTagHistograms) {
   Simulator sim;
   StatsRegistry registry;
-  sim.set_profiler(&registry);
+  sim.instruments().stats = &registry;
+  sim.instruments().profile_events = true;
   sim.schedule_tagged(1.0, "tick", [] {});
   sim.schedule_tagged(2.0, "tick", [] {});
   sim.schedule_at(3.0, [] {});  // untagged -> "other"

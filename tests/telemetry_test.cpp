@@ -1,9 +1,9 @@
 // Flight-recorder tests (sim/telemetry.hpp): bucket-edge semantics, the
 // zero-steady-state-allocation contract (counted by a global operator
 // new hook), determinism contracts (serial vs parallel, telemetry on vs
-// off, phase profiler on vs off), and the schema v3 ->
-// v4 golden regression: qos_timeline_kbps re-derived from the v4
-// timeseries must reproduce the seed repo's v3 values bit for bit.
+// off, phase profiler on vs off), and the schema v3 golden regression:
+// the timeseries' qos_kbps must reproduce the seed repo's v3
+// qos_timeline_kbps values bit for bit.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -61,7 +61,8 @@ TEST(TelemetryBuckets, EdgeMapping) {
   Simulator sim;
   TelemetryRecorder rec;
   rec.start(sim, nullptr, nullptr, {}, /*measure_from=*/100.0,
-            /*window_s=*/30.0, /*bucket_s=*/10.0, /*n_nodes=*/4, nullptr);
+            /*window_s=*/30.0, /*bucket_s=*/10.0, /*n_nodes=*/4,
+            /*packet_bytes=*/1000);
   ASSERT_TRUE(rec.active());
   EXPECT_EQ(rec.bucket_for_rel(-0.001), TelemetryRecorder::npos);
   EXPECT_EQ(rec.bucket_for_rel(0.0), 0u);
@@ -77,7 +78,7 @@ TEST(TelemetryBuckets, RaggedLastBucketStillClosesInclusive) {
   // window 25 / bucket 10 -> 3 buckets; the last covers [20, 25].
   Simulator sim;
   TelemetryRecorder rec;
-  rec.start(sim, nullptr, nullptr, {}, 0.0, 25.0, 10.0, 4, nullptr);
+  rec.start(sim, nullptr, nullptr, {}, 0.0, 25.0, 10.0, 4, 1000);
   EXPECT_EQ(rec.bucket_for_rel(19.999), 1u);
   EXPECT_EQ(rec.bucket_for_rel(20.0), 2u);
   EXPECT_EQ(rec.bucket_for_rel(25.0), 2u);
@@ -87,7 +88,7 @@ TEST(TelemetryBuckets, RaggedLastBucketStillClosesInclusive) {
 TEST(TelemetryBuckets, DeliveryAtWindowEndCountsLaterOnesLate) {
   Simulator sim;
   TelemetryRecorder rec;
-  rec.start(sim, nullptr, nullptr, {}, 100.0, 30.0, 10.0, 4, nullptr);
+  rec.start(sim, nullptr, nullptr, {}, 100.0, 30.0, 10.0, 4, 1000);
   rec.on_delivery(100.0, 5.0, true, 0);   // first bucket
   rec.on_delivery(130.0, 5.0, true, 0);   // exactly at the end: last bucket
   rec.on_delivery(130.5, 5.0, true, 0);   // drain period: late
@@ -111,8 +112,7 @@ TEST(TelemetryAllocation, SteadyStateIsAllocationFree) {
   Simulator sim;
   TelemetryRecorder rec;
   rec.start(
-      sim, nullptr, nullptr, [](GaugeSnapshot&) {}, 0.0, 30.0, 5.0, 8,
-      nullptr);
+      sim, nullptr, nullptr, [](GaugeSnapshot&) {}, 0.0, 30.0, 5.0, 8, 1000);
   sim.run_until(0.0);  // baseline tick
   const std::uint64_t allocs = allocations_during([&] {
     for (int i = 0; i < 2000; ++i) {
@@ -161,6 +161,7 @@ void expect_timeseries_eq(const TimeSeries& a, const TimeSeries& b) {
   EXPECT_EQ(a.sent, b.sent);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.qos_delivered, b.qos_delivered);
+  EXPECT_EQ(a.qos_kbps, b.qos_kbps);
   EXPECT_EQ(a.failovers, b.failovers);
   EXPECT_EQ(a.delay_p50_ms, b.delay_p50_ms);
   EXPECT_EQ(a.delay_p95_ms, b.delay_p95_ms);
@@ -230,6 +231,31 @@ TEST(TelemetryDeterminism, PhaseProfileDoesNotPerturbSeries) {
                 static_cast<std::size_t>(refer::kPhaseCount));
 }
 
+TEST(TelemetryPhases, EveryInstrumentedLayerChargesItsPhase) {
+  // The harness fills one instrumentation context; a layer that stopped
+  // reading it would leave its phase account at zero.
+  for (const harness::SystemKind kind : harness::kAllSystems) {
+    SCOPED_TRACE(harness::to_string(kind));
+    harness::Scenario sc = timeline_scenario();
+    sc.phase_profile = true;
+    const harness::RunMetrics m = harness::run_once(kind, sc);
+    ASSERT_TRUE(m.build_ok);
+    std::vector<double> charged_us(static_cast<std::size_t>(kPhaseCount));
+    for (std::size_t i = 0; i < m.timeseries.phase_wall_us.size(); ++i) {
+      charged_us[i % charged_us.size()] += m.timeseries.phase_wall_us[i];
+    }
+    const auto charged = [&](Phase p) {
+      return charged_us[static_cast<std::size_t>(p)];
+    };
+    EXPECT_GT(charged(Phase::kKernelDispatch), 0.0);
+    EXPECT_GT(charged(Phase::kMediumScan), 0.0);
+    EXPECT_GT(charged(Phase::kSpatialQuery), 0.0);
+    if (kind == harness::SystemKind::kRefer) {
+      EXPECT_GT(charged(Phase::kRoutingDecide), 0.0);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Series consistency against the aggregate metrics.
 // ---------------------------------------------------------------------
@@ -273,10 +299,10 @@ TEST(TelemetrySeries, SumsMatchAggregates) {
 }
 
 // ---------------------------------------------------------------------
-// Schema v3 -> v4 golden regression.  The exact qos_timeline_kbps
-// vectors below were captured from the seed repo (pre-refactor
-// harness::record_timeline) at this scenario; the v4 recorder must
-// reproduce them bit for bit through TimeSeries::qos_timeline_kbps.
+// Schema v3 golden regression.  The exact qos_timeline_kbps vectors
+// below were captured from the seed repo (pre-refactor
+// harness::record_timeline) at this scenario; the recorder's qos_kbps
+// series must reproduce them bit for bit.
 // ---------------------------------------------------------------------
 
 TEST(TelemetryGolden, LegacyQosTimelineReproducedBitForBit) {
@@ -299,11 +325,7 @@ TEST(TelemetryGolden, LegacyQosTimelineReproducedBitForBit) {
     sc.seed = 5;
     const harness::RunMetrics m = harness::run_once(g.kind, sc);
     ASSERT_TRUE(m.build_ok);
-    EXPECT_EQ(m.qos_timeline_kbps, g.kbps);
-    // The legacy vector is re-derived from the v4 series, not tracked
-    // separately -- identity is structural, but pin it anyway.
-    EXPECT_EQ(m.qos_timeline_kbps,
-              m.timeseries.qos_timeline_kbps(sc.packet_bytes));
+    EXPECT_EQ(m.timeseries.qos_kbps, g.kbps);
   }
 }
 

@@ -100,7 +100,7 @@ void expect_identical(const harness::RunMetrics& a,
   EXPECT_EQ(a.comm_energy_j, b.comm_energy_j);
   EXPECT_EQ(a.construction_energy_j, b.construction_energy_j);
   EXPECT_EQ(a.total_energy_j, b.total_energy_j);
-  EXPECT_EQ(a.qos_timeline_kbps, b.qos_timeline_kbps);
+  EXPECT_EQ(a.timeseries.qos_kbps, b.timeseries.qos_kbps);
   EXPECT_EQ(a.app_loops_started, b.app_loops_started);
   EXPECT_EQ(a.app_loops_completed, b.app_loops_completed);
   EXPECT_EQ(a.app_loops_within_deadline, b.app_loops_within_deadline);
