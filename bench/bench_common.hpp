@@ -163,6 +163,7 @@ struct Context {
   std::string name;
   runner::ParallelExecutor executor;
   runner::ResultsWriter results;
+  bool write_failed = false;  ///< a --csv file could not be written
 };
 
 /// Runs a sweep through the context's executor and records the
@@ -176,8 +177,9 @@ inline std::vector<harness::SweepPoint> run_sweep(
   return points;
 }
 
-/// Prints the table and, with --csv, writes it as PREFIX_<slug>.csv.
-inline void emit_series(const Context& ctx, const std::string& title,
+/// Prints the table and, with --csv, writes it as PREFIX_<slug>.csv.  A
+/// file that cannot be written is reported and fails the run (exit 1).
+inline void emit_series(Context& ctx, const std::string& title,
                         const std::string& x_label,
                         const std::string& y_label, const std::string& slug,
                         const std::vector<harness::SweepPoint>& points,
@@ -188,6 +190,9 @@ inline void emit_series(const Context& ctx, const std::string& title,
     const std::string path = ctx.opt.csv_prefix + "_" + slug + ".csv";
     if (harness::write_series_csv(path, x_label, points, select)) {
       std::printf("(csv written to %s)\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "referbench: cannot write %s\n", path.c_str());
+      ctx.write_failed = true;
     }
   }
 }

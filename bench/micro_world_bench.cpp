@@ -6,6 +6,10 @@
 // grows with sqrt(n)), so the per-query neighbour count stays flat while
 // n grows: the per-query cost should stay flat too.
 //
+// BM_ClosestActuator asks for the nearest of the five static actuators,
+// which World answers by scanning them in id order (no index): its cost
+// should not grow with the sensor count.
+//
 // BM_DisjointRoutes_{Uncached,Cached} replay a repeating working set of
 // (u, v) pairs, the traffic pattern real flows produce.
 //
@@ -13,7 +17,8 @@
 // paths that issue a geometric query per transmission (the CSMA medium
 // scan and broadcast receiver materialisation) through the real event
 // kernel.  Simulated time advances with every send, so mobility re-bins
-// and neighbor-row rebuilds happen at their natural rate.  Their _Static
+// and neighbor-row rebuilds happen at their natural rate: every query
+// either walks its node's current row or builds it.  Their _Static
 // variants place the same sensors without mobility, the shape of the
 // static-sensor workloads: nothing re-bins, the grid runs with zero
 // drift slack and every cached row is exactly the radio neighbourhood.

@@ -1,14 +1,22 @@
 #include "analysis/json_doc.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 
 namespace refer::analysis {
 
+bool JsonNode::is_flat_object() const noexcept {
+  return is_object() &&
+         std::none_of(members.begin(), members.end(), [](const auto& m) {
+           return m.second.is_object() || m.second.is_array();
+         });
+}
+
 const JsonNode* JsonNode::find(std::string_view key) const noexcept {
   if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members) {
-    if (name == key) return &value;
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    if (it->first == key) return &it->second;
   }
   return nullptr;
 }

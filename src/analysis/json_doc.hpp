@@ -3,7 +3,7 @@
 // The results documents (runner/results_writer) are nested -- objects
 // inside arrays inside objects -- so the analyzers need a real value
 // tree; the flat JSONL trace records and repro files go through the same
-// parser (analysis/jsonl.hpp adds the flat-object check).  This is a
+// parser behind one shape check (JsonNode::is_flat_object).  This is a
 // small recursive-descent parser over the subset the writers emit:
 // finite numbers, strings with JSON's backslash escapes (\uXXXX decodes
 // ASCII, anything wider reads as '?'), true/false/null, arrays and
@@ -34,8 +34,14 @@ struct JsonNode {
   }
   [[nodiscard]] bool is_array() const noexcept { return kind == Kind::kArray; }
 
+  /// True for an object whose members are all scalars (null, bool,
+  /// number or string) -- the shape of a JSONL trace record or a repro
+  /// file.
+  [[nodiscard]] bool is_flat_object() const noexcept;
+
   /// Member lookup (linear; results documents have tens of keys), or
-  /// nullptr when absent / not an object.
+  /// nullptr when absent / not an object.  A repeated key reads its
+  /// last value.
   [[nodiscard]] const JsonNode* find(std::string_view key) const noexcept;
 
   /// Typed accessors with defaults -- absent or ill-typed reads the

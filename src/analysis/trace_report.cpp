@@ -5,7 +5,7 @@
 #include <limits>
 #include <optional>
 
-#include "analysis/jsonl.hpp"
+#include "analysis/json_doc.hpp"
 #include "kautz/label.hpp"
 #include "kautz/regular.hpp"
 #include "kautz/routing.hpp"
@@ -14,27 +14,16 @@ namespace refer::analysis {
 
 namespace {
 
-/// Numeric member or `fallback` when absent / not a number.
-double num_or(const JsonObject& obj, const std::string& key, double fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonValue::Kind::kNumber) {
-    return fallback;
-  }
-  return it->second.number;
-}
-
 /// String member or "" when absent / not a string.
-std::string str_or(const JsonObject& obj, const std::string& key) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonValue::Kind::kString) {
-    return {};
-  }
-  return it->second.str;
+std::string str_or(const JsonNode& obj, std::string_view key) {
+  const JsonNode* v = obj.find(key);
+  const std::string* s = v ? v->string_or_null() : nullptr;
+  return s ? *s : std::string();
 }
 
-bool has_number(const JsonObject& obj, const std::string& key) {
-  const auto it = obj.find(key);
-  return it != obj.end() && it->second.kind == JsonValue::Kind::kNumber;
+bool has_number(const JsonNode& obj, std::string_view key) {
+  const JsonNode* v = obj.find(key);
+  return v && v->kind == JsonNode::Kind::kNumber;
 }
 
 bool is_routing_event(const std::string& event) {
@@ -61,7 +50,7 @@ bool is_known_event(const std::string& event) {
 
 /// Folds one parsed record into the report; returns false on a schema
 /// violation (missing / mistyped keys for the event type).
-bool ingest(TraceReport& report, const JsonObject& obj) {
+bool ingest(TraceReport& report, const JsonNode& obj) {
   const std::string event = str_or(obj, "event");
   if (event.empty() || !has_number(obj, "t")) return false;
   ++report.events_by_type[event];
@@ -69,7 +58,7 @@ bool ingest(TraceReport& report, const JsonObject& obj) {
   if (event == "trace_header") {
     // Run metadata written once at build time: the overlay's Kautz
     // degree d, authoritative for the Theorem 3.8 audit.
-    const int d = static_cast<int>(num_or(obj, "degree", -1));
+    const int d = static_cast<int>(obj.member_number("degree", -1));
     if (d < 2) return false;
     report.header_degree = d;
     // Routing policy: the writer only emits the key when the run used a
@@ -96,8 +85,8 @@ bool ingest(TraceReport& report, const JsonObject& obj) {
     }
     return false;
   }
-  const auto id = static_cast<long long>(num_or(obj, "packet", -1));
-  const double t = num_or(obj, "t", 0);
+  const auto id = static_cast<long long>(obj.member_number("packet", -1));
+  const double t = obj.member_number("t", 0);
   PacketTrace& pkt = report.packets[id];
   pkt.id = id;
   pkt.end_t = t;
@@ -108,9 +97,9 @@ bool ingest(TraceReport& report, const JsonObject& obj) {
   } else if (event == "hop_forward") {
     HopRecord hop;
     hop.t = t;
-    hop.from = static_cast<long long>(num_or(obj, "from", -1));
-    hop.to = static_cast<long long>(num_or(obj, "to", -1));
-    hop.hop_index = static_cast<int>(num_or(obj, "hop", -1));
+    hop.from = static_cast<long long>(obj.member_number("from", -1));
+    hop.to = static_cast<long long>(obj.member_number("to", -1));
+    hop.hop_index = static_cast<int>(obj.member_number("hop", -1));
     hop.at = str_or(obj, "at");
     hop.dst = str_or(obj, "dst");
     hop.next = str_or(obj, "next");
@@ -120,9 +109,9 @@ bool ingest(TraceReport& report, const JsonObject& obj) {
     ++report.failovers;
     FailoverRecord f;
     f.t = t;
-    f.node = static_cast<long long>(num_or(obj, "from", -1));
-    f.alt_index = static_cast<int>(num_or(obj, "alt", -1));
-    f.nominal_len = static_cast<int>(num_or(obj, "nominal_len", -1));
+    f.node = static_cast<long long>(obj.member_number("from", -1));
+    f.alt_index = static_cast<int>(obj.member_number("alt", -1));
+    f.nominal_len = static_cast<int>(obj.member_number("nominal_len", -1));
     f.at = str_or(obj, "at");
     f.dst = str_or(obj, "dst");
     f.next = str_or(obj, "next");
@@ -386,8 +375,8 @@ TraceReport analyze_trace(std::istream& in, const TraceReportOptions& opts) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++report.lines;
-    const auto obj = parse_flat_object(line);
-    if (!obj) {
+    const auto obj = parse_json_doc(line);
+    if (!obj || !obj->is_flat_object()) {
       ++report.parse_errors;
       continue;
     }

@@ -368,7 +368,7 @@ class Driver {
     st.counter("channel.broadcasts_sent").set(cs.broadcasts_sent);
     // Spatial-index and neighbor-cache health.  world.grid.* and
     // world.neighbor_cache.* count host-side work that depends on the
-    // index and cache heuristics, not on simulated behaviour, so result
+    // index and cache layout, not on simulated behaviour, so result
     // comparisons (the CI baseline pin, perfbench digests) ignore them.
     const sim::World::IndexStats& gs = dep_->world.index_stats();
     st.counter("world.grid.queries").set(gs.queries);
@@ -379,7 +379,6 @@ class Driver {
     st.counter("world.neighbor_cache.hits").set(ns.hits);
     st.counter("world.neighbor_cache.rebuilds").set(ns.rebuilds);
     st.counter("world.neighbor_cache.invalidations").set(ns.invalidations);
-    st.counter("world.neighbor_cache.skipped_fills").set(ns.skipped_fills);
     for (const auto& [node, airtime] : dep_->channel.busiest_nodes(5)) {
       st.counter("node." + std::to_string(node) + ".airtime_us")
           .set(static_cast<std::uint64_t>(airtime * 1e6));
@@ -725,8 +724,10 @@ bool write_series_csv(const std::string& path, const std::string& x_label,
     }
     std::fprintf(f, "\n");
   }
-  std::fclose(f);
-  return true;
+  // Any failed write sets the error flag; a full disk may surface only
+  // when fclose flushes the buffered tail.
+  const bool ok = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace refer::harness

@@ -164,7 +164,8 @@ void print_series_table(const std::string& title, const std::string& x_label,
                             const AggregateMetrics&)>& select);
 
 /// Writes the same series as CSV (x, then mean/ci per system) for
-/// plotting; returns false when the file cannot be opened.
+/// plotting; returns false when the file cannot be opened, written or
+/// closed.
 bool write_series_csv(const std::string& path, const std::string& x_label,
                       const std::vector<SweepPoint>& points,
                       const std::function<Summary(

@@ -352,8 +352,10 @@ bool ResultsWriter::write(const std::string& path) const {
   const std::string doc = to_json();
   std::fwrite(doc.data(), 1, doc.size(), f);
   std::fputc('\n', f);
-  std::fclose(f);
-  return true;
+  // A failed write sets the stream's error flag; a failed flush of the
+  // buffered tail (a full disk) surfaces only in fclose.
+  const bool ok = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace refer::runner

@@ -114,7 +114,8 @@ class ResultsWriter {
   /// Renders the full document (always valid JSON, even when empty).
   [[nodiscard]] std::string to_json() const;
 
-  /// Writes to_json() to `path`; false when the file cannot be opened.
+  /// Writes to_json() to `path`; false when the file cannot be opened,
+  /// written or closed.
   bool write(const std::string& path) const;
 
  private:

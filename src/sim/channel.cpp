@@ -17,16 +17,7 @@ Channel::Channel(Simulator& sim, World& world, EnergyTracker& energy, Rng rng,
       queue_wait_us_(sim.instruments().stats
                          ? &sim.instruments().stats->histogram(
                                "channel.queue_wait_us")
-                         : nullptr) {
-  // Size the per-node medium state now and on every node addition, so
-  // reserve_tx_slot never has to check.
-  size_listener_ = world_->add_size_listener([this](std::size_t n) {
-    busy_until_.resize(n, 0.0);
-    airtime_.resize(n, 0.0);
-  });
-}
-
-Channel::~Channel() { world_->remove_size_listener(size_listener_); }
+                         : nullptr) {}
 
 double Channel::frame_time(std::size_t bytes) const noexcept {
   return config_.mac_overhead_s +
@@ -34,8 +25,13 @@ double Channel::frame_time(std::size_t bytes) const noexcept {
 }
 
 Time Channel::reserve_tx_slot(NodeId node, double duration) {
+  // Nodes may join the world after the channel was built; grow the
+  // per-node medium state to cover the sender and every neighbour.
+  if (busy_until_.size() < world_->size()) {
+    busy_until_.resize(world_->size(), 0.0);
+    airtime_.resize(world_->size(), 0.0);
+  }
   const auto idx = static_cast<std::size_t>(node);
-  assert(idx < busy_until_.size());
   airtime_[idx] += duration;
   stats_.total_airtime_s += duration;
   const Time start = std::max(sim_->now(), busy_until_[idx]);

@@ -74,11 +74,9 @@ class Channel {
 
   Channel(Simulator& sim, World& world, EnergyTracker& energy, Rng rng,
           ChannelConfig config = {});
-  ~Channel();
 
-  // The ctor registers a World size listener capturing `this` (it keeps the
-  // per-node medium state sized ahead of use); moving or copying would leave
-  // that callback dangling.
+  // Scheduled frame deliveries capture `this`; moving or copying would
+  // leave them dangling.
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
   Channel(Channel&&) = delete;
@@ -127,9 +125,8 @@ class Channel {
   Rng rng_;
   ChannelConfig config_;
   ChannelStats stats_;
-  std::vector<Time> busy_until_;  ///< sized by the World listener, not lazily
+  std::vector<Time> busy_until_;  ///< grown to world size by reserve_tx_slot
   std::vector<double> airtime_;
-  int size_listener_ = -1;
   /// "channel.queue_wait_us" of the context's registry, resolved at
   /// construction so the per-frame sample needs no lookup.
   Histogram* queue_wait_us_ = nullptr;

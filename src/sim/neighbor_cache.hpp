@@ -7,10 +7,10 @@
 // ascending NodeId order *per query*.  Under load the same node queries
 // the same radius thousands of times between mobility re-bins, so the
 // cell walk + sort is pure repetition.  This cache remembers the sorted
-// candidate row per (node, range class) and turns repeat queries into a
+// candidate row per (node, query radius) and turns repeat queries into a
 // linear walk of a flat array.
 //
-// Layout: one Table per distinct query radius ("range class" -- sensor
+// Layout: one Table per distinct query radius the run uses (sensor
 // range, actuator range, and any range_override such as flooding's
 // query_tx_range).  Each table is CSR-shaped: per-node (begin, len)
 // offsets into one shared append-only pool of NodeIds, rows stored in
@@ -31,9 +31,9 @@
 // binned-position staleness -- remains a *superset* of the true in-range
 // set for every query it serves.  The caller's exact per-candidate check
 // (alive + within_range on live positions, ascending id order) then
-// yields results bit-identical to the uncached scan.  Liveness flips
-// need no invalidation at all: dead nodes stay binned and are filtered
-// by the exact pass, exactly as on the uncached path.
+// yields results bit-identical to a linear scan.  Liveness flips need no
+// invalidation at all: dead nodes stay binned and are filtered by the
+// exact pass.
 //
 // The superset would make cached walks *slower* than uncached queries if
 // every candidate still needed its live position evaluated: the row
@@ -51,11 +51,14 @@
 // Row storage is read back through (pool, index) pairs rather than raw
 // pointers: a query handler may re-enter visit_reachable (flooding does),
 // and the nested miss may append to the same pool, relocating its heap
-// buffer.  Indices survive that; pointers would dangle.
+// buffer.  Indices survive that; pointers would dangle.  The tables
+// themselves live in a deque, so a nested miss that opens a new radius's
+// table never moves an existing one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "sim/spatial_index.hpp"  // NodeId
@@ -64,17 +67,9 @@ namespace refer::sim {
 
 class NeighborCache {
  public:
-  /// Distinct query radii cached simultaneously.  Workloads use two or
-  /// three (sensor range, actuator range, flooding's query_tx_range);
-  /// radii beyond the cap are served uncached rather than evicting.
-  static constexpr std::size_t kMaxRangeClasses = 8;
-
-  /// A view of one cached row.  `pool` is the owning table's id pool (or
-  /// the caller's own buffer when the range class overflowed the cap);
-  /// elements are pool[begin] .. pool[begin + len - 1], ascending ids.
-  /// `anchors` runs parallel to `pool` with each candidate's binned
-  /// position, or is null on range-class overflow (the caller then skips
-  /// the anchor prefilter and exact-checks every candidate).
+  /// A view of one cached row: elements are pool[begin] ..
+  /// pool[begin + len - 1], ascending ids, and `anchors` runs parallel
+  /// to `pool` with each candidate's binned position.
   struct Row {
     const std::vector<NodeId>* pool = nullptr;
     const std::vector<Point>* anchors = nullptr;
@@ -87,11 +82,10 @@ class NeighborCache {
     std::uint64_t hits = 0;           ///< queries served from a cached row
     std::uint64_t rebuilds = 0;       ///< rows (re)built from the grid
     std::uint64_t invalidations = 0;  ///< epoch bumps (re-bins + rebuilds)
-    std::uint64_t skipped_fills = 0;  ///< misses served uncached (heuristic)
   };
 
   /// New node universe (full index rebuild / node added).  Drops every
-  /// table; range classes are rediscovered on first use.
+  /// table; radii are rediscovered on first use.
   void reset(std::size_t n);
 
   /// Kills every cached row (O(1): bumps the epoch; rows die lazily on
@@ -103,8 +97,8 @@ class NeighborCache {
     ++stats_.invalidations;
   }
 
-  /// True when `id` has a current-epoch row for range class `range`;
-  /// fills `out` with a view of it.
+  /// True when `id` has a current-epoch row for radius `range`; fills
+  /// `out` with a view of it.
   [[nodiscard]] bool lookup(NodeId id, double range, Row& out) noexcept {
     for (Table& t : tables_) {
       if (t.range == range) {
@@ -114,7 +108,6 @@ class NeighborCache {
         out.anchors = &t.apool;
         out.begin = t.begin[slot];
         out.len = t.len[slot];
-        if (t.row_hits[slot] < 255) ++t.row_hits[slot];
         ++stats_.hits;
         return true;
       }
@@ -122,84 +115,34 @@ class NeighborCache {
     return false;
   }
 
-  /// Refill gate: hits the last build must have collected for its next
-  /// rebuild to be worth paying for eagerly.  A build costs roughly two
-  /// plain grid scans (the collect radius is widened by two slack
-  /// budgets, and the sorted ids plus their anchors are copied into the
-  /// pools) while a hit saves most of one scan, so one hit per build --
-  /// exactly what a broadcast produces, its CSMA medium scan filling the
-  /// row and its receiver materialisation consuming it -- never pays the
-  /// build back.  Two hits break even; beyond that the cache wins.
-  static constexpr std::uint8_t kRefillHitThreshold = 2;
-
-  /// Cheap staleness heuristic, consulted on a lookup miss before paying
-  /// for a rebuild.  Rows whose previous build amortised (>= threshold
-  /// hits before the epoch killed it) refill eagerly.  Cold rows -- the
-  /// one-broadcast-per-node-per-epoch shape behind the
-  /// BM_BroadcastReceivers_Cache n=4000 regression -- are served straight
-  /// from the grid instead: returns false and charges skipped_fills.  At
-  /// most two misses per row per epoch are skipped; a third miss in one
-  /// epoch is proof of real reuse, so filling resumes (and the hits that
-  /// build then collects decide the next epoch eagerly).  Purely a
-  /// performance decision -- the uncached scan is exact, so results are
-  /// bit-identical either way.
-  [[nodiscard]] bool should_fill(NodeId id, double range) noexcept {
-    for (Table& t : tables_) {
-      if (t.range != range) continue;
-      const auto slot = static_cast<std::size_t>(id);
-      if (t.stamp[slot] == 0) return true;  // never built: no history
-      if (t.row_hits[slot] >= kRefillHitThreshold) return true;
-      if (t.skip_epoch[slot] != epoch_) {
-        t.skip_epoch[slot] = epoch_;
-        t.skips[slot] = 1;
-      } else if (t.skips[slot] >= 2) {
-        return true;  // third miss this epoch: reuse is real again
-      } else {
-        ++t.skips[slot];
-      }
-      ++stats_.skipped_fills;
-      return false;
-    }
-    return true;  // new range class: no history to judge, build the row
-  }
-
-  /// Records `ids` (ascending, unique) as `id`'s row for range class
-  /// `range` and returns a view of the stored copy.  `anchor_of(nid)`
-  /// must return the candidate's binned anchor position (the prefilter
-  /// contract above); World passes SpatialIndex::anchor.  When the
-  /// range-class cap is hit the row is not stored and the view aliases
-  /// `ids` itself with null `anchors` -- the caller's buffer must outlive
-  /// the returned Row either way.
+  /// Records `ids` (ascending, unique) as `id`'s row for radius `range`
+  /// and returns a view of the stored copy.  `anchor_of(nid)` must
+  /// return the candidate's binned anchor position (the prefilter
+  /// contract above); World passes SpatialIndex::anchor.
   template <typename AnchorFn>
   Row store(NodeId id, double range, const std::vector<NodeId>& ids,
             AnchorFn&& anchor_of) {
     ++stats_.rebuilds;
-    Row row;
-    row.len = static_cast<std::uint32_t>(ids.size());
-    Table* t = table_for(range);
-    if (!t) {
-      // Range-class overflow: serve this query from the caller's buffer.
-      row.pool = &ids;
-      return row;
-    }
-    if (t->pool_epoch != epoch_) {
+    Table& t = table_for(range);
+    if (t.pool_epoch != epoch_) {
       // First row of a new epoch: every old row is dead, recycle the
       // pools (capacity is kept, so steady-state rebuilds allocate
       // nothing).
-      t->pool.clear();
-      t->apool.clear();
-      t->pool_epoch = epoch_;
+      t.pool.clear();
+      t.apool.clear();
+      t.pool_epoch = epoch_;
     }
-    row.begin = static_cast<std::uint32_t>(t->pool.size());
-    t->pool.insert(t->pool.end(), ids.begin(), ids.end());
-    for (const NodeId nid : ids) t->apool.push_back(anchor_of(nid));
+    Row row;
+    row.pool = &t.pool;
+    row.anchors = &t.apool;
+    row.begin = static_cast<std::uint32_t>(t.pool.size());
+    row.len = static_cast<std::uint32_t>(ids.size());
+    t.pool.insert(t.pool.end(), ids.begin(), ids.end());
+    for (const NodeId nid : ids) t.apool.push_back(anchor_of(nid));
     const auto slot = static_cast<std::size_t>(id);
-    t->begin[slot] = row.begin;
-    t->len[slot] = row.len;
-    t->stamp[slot] = epoch_;
-    t->row_hits[slot] = 0;  // should_fill judges this build by its hits
-    row.pool = &t->pool;
-    row.anchors = &t->apool;
+    t.begin[slot] = row.begin;
+    t.len[slot] = row.len;
+    t.stamp[slot] = epoch_;
     return row;
   }
 
@@ -212,19 +155,14 @@ class NeighborCache {
     std::vector<std::uint32_t> begin;  ///< per-node row offset into pool
     std::vector<std::uint32_t> len;    ///< per-node row length
     std::vector<std::uint64_t> stamp;  ///< per-node build epoch (0 = never)
-    std::vector<std::uint8_t> row_hits;  ///< hits on the node's last build
-    std::vector<std::uint64_t> skip_epoch;  ///< epoch of the last skipped fill
-    std::vector<std::uint8_t> skips;   ///< fills skipped within skip_epoch
     std::vector<NodeId> pool;          ///< shared row storage, append-only
     std::vector<Point> apool;          ///< candidate anchors, parallel to pool
   };
 
-  Table* table_for(double range);
+  Table& table_for(double range);
 
-  // reserve()d to kMaxRangeClasses in reset(): Row::pool points into a
-  // Table, so tables_ must never relocate while rows are live.
-  std::vector<Table> tables_;
-  std::uint64_t epoch_ = 1;  ///< starts above the stamp default of 0
+  std::deque<Table> tables_;  ///< stable addresses: Row::pool points in
+  std::uint64_t epoch_ = 1;   ///< starts above the stamp default of 0
   std::size_t n_ = 0;
   Stats stats_;
 };

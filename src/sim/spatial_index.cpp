@@ -17,7 +17,6 @@ void SpatialIndex::start_build(Rect bounds, double cell, double slack,
   assert(cell > 0);
   clear();
   bounds_ = bounds;
-  cell_ = cell;
   inv_cell_ = 1.0 / cell;
   slack_ = slack;
   bucket_width_ = max_speed > 0 ? slack / max_speed

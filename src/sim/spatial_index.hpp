@@ -1,11 +1,11 @@
 // Uniform-grid spatial index over node positions.
 //
-// Replaces the O(n) World scans (range queries, CSMA medium occupancy,
-// nearest-actuator lookup) with cell-local candidate generation.  The
-// cell side is a caller policy (World uses a fraction of the maximum
-// transmission range; see World::rebuild_index) -- queries visit every
-// cell intersecting their radius, so cell size affects only speed,
-// never results.
+// Replaces World's O(n) range-query scans (CSMA medium occupancy,
+// broadcast receivers, routing neighbourhoods) with cell-local candidate
+// generation.  The cell side is a caller policy (World uses a fraction
+// of the maximum transmission range; see World::rebuild_index) --
+// queries visit every cell intersecting their radius, so cell size
+// affects only speed, never results.
 //
 // Mobility without per-tick updates: each entry is binned at its exact
 // analytic position and carries a *validity deadline* derived from the
@@ -45,9 +45,7 @@ using NodeId = int;
 
 class SpatialIndex {
  public:
-  [[nodiscard]] bool built() const noexcept { return !cells_.empty(); }
-
-  /// Drops everything; built() becomes false.
+  /// Drops every cell, slot and deadline.
   void clear();
 
   /// (Re)initialises the grid: `bounds` is the deployment area, `cell`
@@ -81,36 +79,6 @@ class SpatialIndex {
   /// guaranteed superset of the true in-range set).  Unordered.
   void collect(Point center, double radius, std::vector<NodeId>& out) const;
 
-  /// Visits every id binned in a cell of the Chebyshev ring `k` around
-  /// the cell containing `p` (clipped to the grid).  Ring 0 is the cell
-  /// itself.  Any binned node lies in some ring <= max_rings().
-  template <typename Fn>
-  void visit_ring(Point p, int k, Fn&& fn) const {
-    const int cx = cell_x(p.x);
-    const int cy = cell_y(p.y);
-    const auto visit_cell = [&](int x, int y) {
-      if (x < 0 || x >= nx_ || y < 0 || y >= ny_) return;
-      for (const Entry& e : cells_[cell_index(x, y)].entries) fn(e.id);
-    };
-    if (k == 0) {
-      visit_cell(cx, cy);
-      return;
-    }
-    for (int x = cx - k; x <= cx + k; ++x) {
-      visit_cell(x, cy - k);
-      visit_cell(x, cy + k);
-    }
-    for (int y = cy - k + 1; y <= cy + k - 1; ++y) {
-      visit_cell(cx - k, y);
-      visit_cell(cx + k, y);
-    }
-  }
-
-  /// Largest ring index that can contain a cell.
-  [[nodiscard]] int max_rings() const noexcept {
-    return nx_ > ny_ ? nx_ : ny_;
-  }
-
   /// The binned (anchor) position of `id` -- where update() last placed
   /// it.  Until the node's next re-bin its true position stays within
   /// slack() of this anchor (the deadline contract above), which is what
@@ -123,9 +91,7 @@ class SpatialIndex {
         .p;
   }
 
-  [[nodiscard]] double cell_size() const noexcept { return cell_; }
   [[nodiscard]] double slack() const noexcept { return slack_; }
-  [[nodiscard]] const Rect& bounds() const noexcept { return bounds_; }
 
  private:
   /// One binned node: position first (the prefilter reads it for every
@@ -167,7 +133,6 @@ class SpatialIndex {
   [[nodiscard]] std::int64_t bucket_of(Time t) const noexcept;
 
   Rect bounds_{};
-  double cell_ = 0;
   double inv_cell_ = 0;
   double slack_ = 0;
   double bucket_width_ = std::numeric_limits<double>::infinity();

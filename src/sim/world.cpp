@@ -19,12 +19,14 @@ constexpr double kSlackFraction = 0.05;
 NodeId World::add_node(Node node) {
   nodes_.push_back(std::move(node));
   index_dirty_ = true;
-  for (const auto& [token, fn] : size_listeners_) fn(nodes_.size());
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
 NodeId World::add_actuator(Point pos, double range) {
-  return add_node(Node{NodeKind::kActuator, range, true, Waypoint(pos)});
+  const NodeId id =
+      add_node(Node{NodeKind::kActuator, range, true, Waypoint(pos)});
+  actuators_.push_back(id);
+  return id;
 }
 
 NodeId World::add_sensor(Point pos, double range, double min_speed,
@@ -95,18 +97,6 @@ std::vector<NodeId> World::all_of(NodeKind k) const {
   return out;
 }
 
-int World::add_size_listener(std::function<void(std::size_t)> fn) {
-  const int token = next_listener_token_++;
-  fn(nodes_.size());
-  size_listeners_.emplace_back(token, std::move(fn));
-  return token;
-}
-
-void World::remove_size_listener(int token) {
-  std::erase_if(size_listeners_,
-                [token](const auto& entry) { return entry.first == token; });
-}
-
 bool World::ensure_index() {
   const Time now = sim_->now();
   if (index_dirty_) rebuild_index(now);
@@ -153,16 +143,8 @@ void World::rebuild_index(Time now) {
   // trades that over-scan for more frequent re-bins.
   const double slack = max_speed > 0 ? min_range * kSlackFraction : 0.0;
   index_.start_build(area_, cell, slack, max_speed, nodes_.size());
-  actuator_index_.start_build(area_, max_range, /*slack=*/0, /*max_speed=*/0,
-                              nodes_.size());
-  const Time kForever = std::numeric_limits<Time>::infinity();
   for (NodeId i = 0; static_cast<std::size_t>(i) < nodes_.size(); ++i) {
     bin_node(i, now);
-    if (nodes_[static_cast<std::size_t>(i)].kind == NodeKind::kActuator) {
-      actuator_index_.update(
-          i, nodes_[static_cast<std::size_t>(i)].motion.position_at(now),
-          kForever, now);
-    }
   }
   index_stats_.rebuilds += 1;
 }
@@ -188,36 +170,11 @@ NodeId World::closest_actuator(NodeId id) {
   PhaseProfiler::Scope phase(sim_->instruments().phases,
                              Phase::kSpatialQuery);
   const Point p = position(id);
-  if (ensure_index()) {
-    // Ring search over the static actuator grid: every point of a
-    // Chebyshev ring-k cell lies >= (k-1)*cell metres away, so once that
-    // bound exceeds the best hit no farther ring can improve on it.
-    NodeId best = -1;
-    double best_d = std::numeric_limits<double>::infinity();
-    const double cell = actuator_index_.cell_size();
-    const int rings = actuator_index_.max_rings();
-    for (int k = 0; k <= rings; ++k) {
-      if (best >= 0) {
-        const double lower = (k - 1) * cell;
-        if (lower > 0 && lower * lower > best_d) break;
-      }
-      actuator_index_.visit_ring(p, k, [&](NodeId i) {
-        if (i == id || !alive(i)) return;
-        const double d = distance_sq(p, position(i));
-        if (d < best_d || (d == best_d && i < best)) {
-          best_d = d;
-          best = i;
-        }
-      });
-    }
-    return best;
-  }
-  // No index can exist (every range zero): scan all actuators.
+  // Ascending ids and a strict < keep the lowest id on ties.
   NodeId best = -1;
   double best_d = std::numeric_limits<double>::infinity();
-  for (NodeId i = 0; static_cast<std::size_t>(i) < nodes_.size(); ++i) {
-    const auto& n = nodes_[static_cast<std::size_t>(i)];
-    if (n.kind != NodeKind::kActuator || !n.alive || i == id) continue;
+  for (const NodeId i : actuators_) {
+    if (i == id || !alive(i)) continue;
     const double d = distance_sq(p, position(i));
     if (d < best_d) {
       best_d = d;

@@ -13,17 +13,18 @@
 // sorted candidate row of each (node, query radius) pair is remembered
 // and reused until any grid re-bin bumps a global epoch, turning repeat
 // queries -- the CSMA medium scan fires one per transmission -- into a
-// flat array walk.  The exact per-candidate check still runs on live
-// positions, so cached results stay bit-identical too.
+// flat array walk.  A query either walks its current row or, on a miss,
+// builds the row from the grid and walks that; the exact per-candidate
+// check still runs on live positions, so cached results stay
+// bit-identical too.  closest_actuator needs no index: it scans the few
+// static actuators in id order.
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -135,17 +136,8 @@ class World {
     const Point p = position(from);
     const double r = range_override > 0 ? range_override : range(from);
     if (ensure_index()) {
-      const Time now = sim_->now();
       NeighborCache::Row row;
-      if (ncache_.lookup(from, r, row)) {
-        walk_row(row, from, p, r, now, fn);
-        return;
-      }
-      // Only pay for a row build when the previous build of this row
-      // earned its keep (see NeighborCache::should_fill); a workload
-      // that touches each row once per epoch -- every node broadcasting
-      // between re-bins -- is faster served by the plain scan below.
-      if (ncache_.should_fill(from, r)) {
+      if (!ncache_.lookup(from, r, row)) {
         ScratchPool::Lease lease = scratch_.acquire();
         std::vector<NodeId>& buf = *lease;
         // A row serves queries until the next re-bin.  Between its
@@ -155,29 +147,15 @@ class World {
         // the build widens the radius by two slack budgets on top of
         // collect()'s own binned-position expansion: the row stays a
         // superset of every in-range set it serves, and the exact check
-        // in walk_row keeps results bit-identical to the plain scan.
+        // in walk_row keeps results bit-identical to a linear scan.
         index_.collect(p, r + 2 * index_.slack(), buf);
         sort_ids(buf);
         index_stats_.queries += 1;
         index_stats_.candidates += buf.size();
-        walk_row(
-            ncache_.store(from, r, buf,
-                          [this](NodeId j) { return index_.anchor(j); }),
-            from, p, r, now, fn);
-        return;
+        row = ncache_.store(from, r, buf,
+                            [this](NodeId j) { return index_.anchor(j); });
       }
-      ScratchPool::Lease lease = scratch_.acquire();
-      std::vector<NodeId>& buf = *lease;
-      index_.collect(p, r, buf);
-      sort_ids(buf);
-      index_stats_.queries += 1;
-      index_stats_.candidates += buf.size();
-      for (NodeId i : buf) {
-        if (i == from) continue;
-        Node& n = nodes_[static_cast<std::size_t>(i)];
-        if (!n.alive) continue;
-        if (within_range(p, n.motion.position_at(now), r)) fn(i);
-      }
+      walk_row(row, from, p, r, sim_->now(), fn);
       return;
     }
     // No index can exist (every range zero): scan all nodes.
@@ -199,7 +177,8 @@ class World {
   [[nodiscard]] std::vector<NodeId> all_of(NodeKind kind) const;
 
   /// The alive actuator physically closest to `id` (or -1 if none).  Ties
-  /// go to the lowest id, exactly like the linear scan.
+  /// go to the lowest id.  Actuators are few and static, so this scans
+  /// them in id order and needs no index.
   [[nodiscard]] NodeId closest_actuator(NodeId id);
 
   /// Cache health counters, exported as world.neighbor_cache.*
@@ -225,13 +204,6 @@ class World {
   [[nodiscard]] const IndexStats& index_stats() const noexcept {
     return index_stats_;
   }
-
-  /// Registers a callback invoked with the node count immediately and then
-  /// after every add_* call; returns a token for remove_size_listener.
-  /// Lets per-node side tables (Channel's medium state) size themselves
-  /// once at attach time instead of checking on every hot-path call.
-  int add_size_listener(std::function<void(std::size_t)> fn);
-  void remove_size_listener(int token);
 
  private:
   /// Sorts a candidate buffer into ascending NodeId order.  Candidates
@@ -275,48 +247,36 @@ class World {
     Waypoint motion;
   };
 
-  /// Exact filter pass shared by the cached fast path: ascending-id
-  /// candidates settled by the anchor shortcut where the slack bound is
-  /// decisive and re-checked against live positions in the remaining
-  /// annulus, so survivors match the plain scan bit for bit.
-  /// Candidates are read back through
-  /// (pool, index) rather than a raw pointer because `fn` may re-enter
+  /// Exact filter pass over a cached row: ascending-id candidates
+  /// settled by the anchor shortcut where the slack bound is decisive
+  /// and re-checked against live positions in the remaining annulus, so
+  /// survivors match a linear scan bit for bit.  Candidates are read
+  /// back through (pool, index) rather than a raw pointer because `fn` may re-enter
   /// visit_reachable (flood handlers do) and the nested miss may append
   /// to the same pool, relocating its storage -- indices survive that.
   template <typename Fn>
   void walk_row(NeighborCache::Row row, NodeId from, Point p, double r,
                 Time now, Fn&& fn) {
-    if (row.anchors != nullptr) {
-      // Anchor shortcut: within the epoch every candidate's live
-      // position stays within slack of its stored anchor, so the cheap
-      // anchor distance settles all but a thin annulus of candidates
-      // without evaluating their waypoint positions.  The epsilon keeps
-      // floating-point edge cases on the exact-check path; it only
-      // narrows the shortcut bands, never changes results.
-      const double s = index_.slack() + 1e-6;
-      const double reject = (r + s) * (r + s);
-      const double accept = r > s ? (r - s) * (r - s) : -1.0;
-      for (std::uint32_t k = 0; k < row.len; ++k) {
-        const double d2 = distance_sq(p, (*row.anchors)[row.begin + k]);
-        if (d2 > reject) continue;  // out of range even after drift
-        const NodeId i = (*row.pool)[row.begin + k];
-        if (i == from) continue;
-        Node& n = nodes_[static_cast<std::size_t>(i)];
-        if (!n.alive) continue;
-        if (d2 < accept) {  // in range even after drift
-          fn(i);
-          continue;
-        }
-        if (within_range(p, n.motion.position_at(now), r)) fn(i);
-      }
-      return;
-    }
-    // Range-class overflow rows carry no anchors: exact-check everything.
+    // Anchor shortcut: within the epoch every candidate's live position
+    // stays within slack of its stored anchor, so the cheap anchor
+    // distance settles all but a thin annulus of candidates without
+    // evaluating their waypoint positions.  The epsilon keeps
+    // floating-point edge cases on the exact-check path; it only narrows
+    // the shortcut bands, never changes results.
+    const double s = index_.slack() + 1e-6;
+    const double reject = (r + s) * (r + s);
+    const double accept = r > s ? (r - s) * (r - s) : -1.0;
     for (std::uint32_t k = 0; k < row.len; ++k) {
+      const double d2 = distance_sq(p, (*row.anchors)[row.begin + k]);
+      if (d2 > reject) continue;  // out of range even after drift
       const NodeId i = (*row.pool)[row.begin + k];
       if (i == from) continue;
       Node& n = nodes_[static_cast<std::size_t>(i)];
       if (!n.alive) continue;
+      if (d2 < accept) {  // in range even after drift
+        fn(i);
+        continue;
+      }
       if (within_range(p, n.motion.position_at(now), r)) fn(i);
     }
   }
@@ -336,15 +296,11 @@ class World {
   bool index_dirty_ = true;
   bool index_usable_ = false;
   SpatialIndex index_;
-  SpatialIndex actuator_index_;  ///< static, never revalidated
+  std::vector<NodeId> actuators_;  ///< ascending; closest_actuator scans it
   NeighborCache ncache_;
   ScratchPool scratch_;
   std::vector<std::uint64_t> mark_;  ///< sort_ids scratch bitmap
   IndexStats index_stats_;
-
-  std::vector<std::pair<int, std::function<void(std::size_t)>>>
-      size_listeners_;
-  int next_listener_token_ = 0;
 };
 
 }  // namespace refer::sim

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <string>
 
-#include "analysis/jsonl.hpp"
+#include "analysis/json_doc.hpp"
 #include "runner/json.hpp"
 
 namespace refer::verify {
@@ -79,25 +79,22 @@ namespace {
 /// Pulls one typed field out of the parsed object; records an error and
 /// leaves `out` untouched when absent or ill-typed.
 struct FieldReader {
-  const analysis::JsonObject& obj;
+  const analysis::JsonNode& obj;
   std::string error;  // first problem seen; empty = all good
 
   void fail(const std::string& key, const char* what) {
     if (error.empty()) error = key + ": " + what;
   }
 
-  const analysis::JsonValue* find(const std::string& key) {
-    const auto it = obj.find(key);
-    if (it == obj.end()) {
-      fail(key, "missing");
-      return nullptr;
-    }
-    return &it->second;
+  const analysis::JsonNode* find(const std::string& key) {
+    const analysis::JsonNode* v = obj.find(key);
+    if (!v) fail(key, "missing");
+    return v;
   }
 
   void number(const std::string& key, double& out) {
     if (const auto* v = find(key)) {
-      if (v->kind != analysis::JsonValue::Kind::kNumber) {
+      if (v->kind != analysis::JsonNode::Kind::kNumber) {
         fail(key, "expected a number");
       } else {
         out = v->number;
@@ -119,13 +116,13 @@ struct FieldReader {
   /// Like boolean(), but a missing key keeps `out`'s default instead of
   /// erroring -- for fields added after files of this version shipped.
   void optional_boolean(const std::string& key, bool& out) {
-    if (!obj.contains(key)) return;
+    if (!obj.find(key)) return;
     boolean(key, out);
   }
 
   void boolean(const std::string& key, bool& out) {
     if (const auto* v = find(key)) {
-      if (v->kind != analysis::JsonValue::Kind::kBool) {
+      if (v->kind != analysis::JsonNode::Kind::kBool) {
         fail(key, "expected a bool");
       } else {
         out = v->boolean;
@@ -134,7 +131,7 @@ struct FieldReader {
   }
   void string(const std::string& key, std::string& out) {
     if (const auto* v = find(key)) {
-      if (v->kind != analysis::JsonValue::Kind::kString) {
+      if (v->kind != analysis::JsonNode::Kind::kString) {
         fail(key, "expected a string");
       } else {
         out = v->str;
@@ -153,8 +150,8 @@ std::optional<ReproCase> load_repro(const std::string& path) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const auto obj = analysis::parse_flat_object(buf.str());
-  if (!obj) {
+  const auto obj = analysis::parse_json_doc(buf.str());
+  if (!obj || !obj->is_flat_object()) {
     std::fprintf(stderr, "repro: %s is not a flat JSON object\n",
                  path.c_str());
     return std::nullopt;

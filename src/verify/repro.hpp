@@ -2,8 +2,8 @@
 // serialized flat so `referbench replay repro.json` re-executes it
 // bit-identically.
 //
-// The format is one flat JSON object (analysis::parse_flat_object's
-// subset: no nesting) holding every Scenario field plus the system kind
+// The format is one flat JSON object (analysis::JsonNode::is_flat_object:
+// scalar members, no nesting) holding every Scenario field plus the system kind
 // and the violation summary that produced it.  The 64-bit seed is
 // written as a *string* -- JSON numbers are doubles and would silently
 // lose seed bits past 2^53.

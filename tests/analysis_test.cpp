@@ -4,11 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/json_doc.hpp"
-#include "analysis/jsonl.hpp"
 #include "analysis/timeline_report.hpp"
 #include "analysis/trace_report.hpp"
 #include "harness/experiment.hpp"
@@ -20,39 +21,64 @@
 namespace refer::analysis {
 namespace {
 
+/// A trace line as trace_report reads it: parsed, then shape-checked.
+std::optional<JsonNode> flat(std::string_view line) {
+  std::optional<JsonNode> doc = parse_json_doc(line);
+  if (!doc || !doc->is_flat_object()) return std::nullopt;
+  return doc;
+}
+
 TEST(JsonlParser, ParsesFlatObjects) {
-  const auto obj = parse_flat_object(
+  const auto obj = flat(
       R"({"t":1.25,"event":"hop_forward","from":-1,"ok":true,"x":null,)"
-      R"("at":"a\"b\\c\n"})");
+      R"("at":"a\"b\\c\n","t":2.5})");
   ASSERT_TRUE(obj.has_value());
-  EXPECT_EQ(obj->at("t").kind, JsonValue::Kind::kNumber);
-  EXPECT_DOUBLE_EQ(obj->at("t").number, 1.25);
-  EXPECT_EQ(obj->at("event").str, "hop_forward");
-  EXPECT_DOUBLE_EQ(obj->at("from").number, -1.0);
-  EXPECT_EQ(obj->at("ok").kind, JsonValue::Kind::kBool);
-  EXPECT_TRUE(obj->at("ok").boolean);
-  EXPECT_EQ(obj->at("x").kind, JsonValue::Kind::kNull);
-  EXPECT_EQ(obj->at("at").str, "a\"b\\c\n");
+  ASSERT_NE(obj->find("t"), nullptr);
+  EXPECT_EQ(obj->find("t")->kind, JsonNode::Kind::kNumber);
+  EXPECT_DOUBLE_EQ(obj->member_number("t", 0), 2.5);  // later key wins
+  EXPECT_EQ(obj->find("event")->str, "hop_forward");
+  EXPECT_DOUBLE_EQ(obj->member_number("from", 0), -1.0);
+  EXPECT_EQ(obj->find("ok")->kind, JsonNode::Kind::kBool);
+  EXPECT_TRUE(obj->find("ok")->boolean);
+  EXPECT_EQ(obj->find("x")->kind, JsonNode::Kind::kNull);
+  EXPECT_EQ(obj->find("at")->str, "a\"b\\c\n");
 }
 
 TEST(JsonlParser, ParsesUnicodeEscapesAndEmptyObject) {
-  const auto obj = parse_flat_object(R"({"s":"x\u0001y"})");
+  const auto obj = flat(R"({"s":"x\u0001y"})");
   ASSERT_TRUE(obj.has_value());
-  EXPECT_EQ(obj->at("s").str, std::string("x\x01y"));
-  const auto empty = parse_flat_object("  { }  ");
+  EXPECT_EQ(obj->find("s")->str, std::string("x\x01y"));
+  const auto empty = flat("  { }  ");
   ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty());
+  EXPECT_TRUE(empty->members.empty());
 }
 
 TEST(JsonlParser, RejectsNestedAndMalformed) {
-  EXPECT_FALSE(parse_flat_object(R"({"a":{"b":1}})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":[1,2]})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":1)").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a" 1})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":1} trailing)").has_value());
-  EXPECT_FALSE(parse_flat_object("not json").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":tru})").has_value());
-  EXPECT_FALSE(parse_flat_object(R"({"a":"unterminated)").has_value());
+  EXPECT_FALSE(flat(R"({"a":{"b":1}})").has_value());
+  EXPECT_FALSE(flat(R"({"a":[1,2]})").has_value());
+  EXPECT_FALSE(flat(R"([1,2])").has_value());
+  EXPECT_FALSE(flat(R"(42)").has_value());
+  EXPECT_FALSE(flat(R"({"a":1)").has_value());
+  EXPECT_FALSE(flat(R"({"a" 1})").has_value());
+  EXPECT_FALSE(flat(R"({"a":1} trailing)").has_value());
+  EXPECT_FALSE(flat("not json").has_value());
+  EXPECT_FALSE(flat(R"({"a":tru})").has_value());
+  EXPECT_FALSE(flat(R"({"a":"unterminated)").has_value());
+}
+
+TEST(JsonlParser, NestedOrNonObjectTraceLinesAreParseErrors) {
+  // A nested value, then a non-object line, then a valid record.
+  std::istringstream in(
+      R"({"t":0.0,"event":"node_down","from":1,"extra":{"a":1}})"
+      "\n"
+      R"([{"t":0.0,"event":"node_down"}])"
+      "\n"
+      R"({"t":0.0,"event":"node_down","from":1})"
+      "\n");
+  const TraceReport r = analyze_trace(in);
+  EXPECT_EQ(r.lines, 3u);
+  EXPECT_EQ(r.parse_errors, 2u);
+  EXPECT_EQ(r.schema_errors, 0u);
 }
 
 // --- Synthetic-trace audits.  K(2,3) facts used below: from at=012 to

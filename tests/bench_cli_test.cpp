@@ -1,7 +1,8 @@
 // Tests for the strict referbench flag parser (bench/bench_common.hpp):
 // every accepted flag round-trips into BenchOptions, and any typo --
 // unknown flag, missing value, non-numeric value -- exits with code 2
-// instead of silently running a different experiment.
+// instead of silently running a different experiment.  Plus the --csv
+// output path: a file that cannot be written fails the run.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -102,6 +103,23 @@ TEST(ParseOptionsDeathTest, TrailingGarbageInNumberExits2) {
   Argv a({"--measure", "60s"});
   EXPECT_EXIT(parse_options(a.argc(), a.argv()),
               ::testing::ExitedWithCode(2), "not a number: '60s'");
+}
+
+TEST(EmitSeries, UnwritableCsvIsReportedAndFailsTheRun) {
+  BenchOptions opt;
+  opt.csv_prefix = ::testing::TempDir() + "no_such_dir/prefix";
+  Context ctx(opt, "unit");
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  emit_series(ctx, "title", "x", "y", "slug", {},
+              [](const harness::AggregateMetrics& a) {
+                return a.qos_throughput_kbps;
+              });
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(ctx.write_failed);
+  EXPECT_EQ(out.find("csv written"), std::string::npos);
+  EXPECT_NE(err.find("cannot write"), std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -127,6 +128,19 @@ TEST(Harness, CsvExportMatchesSeries) {
   EXPECT_NE(std::string(header).find("Kautz-overlay_ci95"),
             std::string::npos);
   EXPECT_EQ(row[0], '0');  // x = 0
+}
+
+TEST(Harness, CsvExportReportsFailedWrites) {
+  const auto select = [](const AggregateMetrics& a) {
+    return a.qos_throughput_kbps;
+  };
+  EXPECT_FALSE(write_series_csv(::testing::TempDir() + "no_such_dir/p.csv",
+                                "x", {}, select));
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  // Opens fine, but the buffered header fails to flush: ENOSPC.
+  EXPECT_FALSE(write_series_csv("/dev/full", "x", {}, select));
 }
 
 TEST(Harness, DelayPercentilesAreOrdered) {

@@ -1,7 +1,7 @@
 // The neighbor cache's one non-negotiable contract: cached reachable
 // queries return *exactly* what the brute-force scan in world_oracle.hpp
 // returns -- same ids, same order -- on mobile and static worlds, across
-// row reuse, skipped fills, node kills and range overrides.  Plus the
+// row reuse, node kills and any number of query radii.  Plus the
 // epoch/counter semantics, the row widths the drift slack implies, and
 // the zero-steady-state-allocation pin on the cached scan path.
 #include <algorithm>
@@ -69,7 +69,7 @@ struct RandomWorld {
     }
     // Two discrete sensor range classes per world -- deployments ship a
     // handful of radio profiles, not a continuum, and the cache's
-    // one-table-per-range-class layout leans on that.  Continuous
+    // one-table-per-radius layout suits that.  Continuous
     // one-off ranges still appear via range_override in the queries.
     const double range_class[2] = {rng.uniform(60, 140),
                                    rng.uniform(60, 140)};
@@ -349,18 +349,15 @@ TEST(NeighborCacheCounters, MobilityRebinsInvalidate) {
                      rng.split());
   }
   (void)world.reachable_from(0);
-  (void)world.reachable_from(0);  // two hits: this row earns its keep
   (void)world.reachable_from(0);
   const std::uint64_t inv0 = world.neighbor_cache_stats().invalidations;
   // Far past every slack deadline (slack/speed <= 5 m / 1 mps): the next
-  // query's revalidate re-bins movers and must expire cached rows.  The
-  // row collected kRefillHitThreshold hits before the re-bin, so the
-  // staleness heuristic rebuilds it rather than skipping the fill.
+  // query's revalidate re-bins movers and must expire cached rows, so
+  // the row is built again.
   sim.run_until(30);
   (void)world.reachable_from(0);
   EXPECT_GT(world.neighbor_cache_stats().invalidations, inv0);
-  EXPECT_GE(world.neighbor_cache_stats().rebuilds, 2u);
-  EXPECT_EQ(world.neighbor_cache_stats().skipped_fills, 0u);
+  EXPECT_EQ(world.neighbor_cache_stats().rebuilds, 2u);
 }
 
 /// Number of nodes -- dead ones and `from` itself included -- whose
@@ -392,6 +389,36 @@ void populate(sim::World& world, bool mobile) {
     }
   }
   for (const NodeId dead : {7, 42, 133}) world.set_alive(dead, false);
+}
+
+TEST(NeighborCacheProperty, EveryQueryRadiusGetsCachedRows) {
+  // One table per radius the run queries, however many: a dozen
+  // distinct overrides plus the sensors' own range each build a row on
+  // first use and serve the repeat query from it, exactly.
+  sim::Simulator sim;
+  sim::World world(Rect{{0, 0}, {600, 600}}, sim);
+  populate(world, /*mobile=*/true);
+  std::vector<double> radii = {0.0};  // 0: the node's own range
+  for (int k = 0; k < 12; ++k) radii.push_back(40.0 + 25.0 * k);
+  const auto& stats = world.neighbor_cache_stats();
+  double t = 0;
+  for (int step = 0; step < 3; ++step) {
+    sim.run_until(t += 7);
+    for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
+         from += 5) {
+      if (!world.alive(from)) continue;  // a dead sender queries nothing
+      for (const double r : radii) {
+        const std::vector<NodeId> first = world.reachable_from(from, r);
+        const std::uint64_t hits = stats.hits;
+        const std::vector<NodeId> again = world.reachable_from(from, r);
+        ASSERT_EQ(stats.hits, hits + 1)
+            << "t=" << t << " from=" << from << " radius=" << r;
+        ASSERT_EQ(again, first);
+        ASSERT_EQ(again, test::reachable(world, from, r))
+            << "t=" << t << " from=" << from << " radius=" << r;
+      }
+    }
+  }
 }
 
 TEST(NeighborCacheCounters, StaticRowsHoldExactlyTheInRangeSet) {
@@ -436,64 +463,6 @@ TEST(NeighborCacheCounters, MobileRowsWidenBySensorScaleSlack) {
   EXPECT_EQ(world.index_stats().candidates, expected);
 }
 
-TEST(NeighborCacheCounters, ColdRowsSkipFillsUntilReuseReturns) {
-  // Cache-level pin on the staleness heuristic: a row whose previous
-  // build collected fewer than kRefillHitThreshold hits has its fills
-  // skipped -- at most two per epoch; a third miss in one epoch, or a
-  // build that reaches the threshold, resumes eager filling.
-  sim::NeighborCache cache;
-  cache.reset(4);
-  const std::vector<NodeId> ids = {1, 2, 3};
-  const auto anchor_of = [](NodeId id) {
-    return Point{static_cast<double>(id), 0.0};
-  };
-  sim::NeighborCache::Row view;
-
-  EXPECT_TRUE(cache.should_fill(0, 100.0));  // no history: build
-  (void)cache.store(0, 100.0, ids, anchor_of);
-  ASSERT_TRUE(cache.lookup(0, 100.0, view));  // one hit: below threshold
-  cache.invalidate();
-
-  // The broadcast shape -- one fill, one hit, epoch over -- never pays
-  // the build back, so the next epoch's misses are served uncached...
-  EXPECT_FALSE(cache.should_fill(0, 100.0));
-  EXPECT_FALSE(cache.should_fill(0, 100.0));
-  EXPECT_EQ(cache.stats().skipped_fills, 2u);
-  // ...until a third miss in the same epoch proves real reuse.
-  EXPECT_TRUE(cache.should_fill(0, 100.0));
-  (void)cache.store(0, 100.0, ids, anchor_of);
-  ASSERT_TRUE(cache.lookup(0, 100.0, view));
-  ASSERT_TRUE(cache.lookup(0, 100.0, view));  // threshold hits: amortised
-  cache.invalidate();
-  EXPECT_TRUE(cache.should_fill(0, 100.0));  // hot rows refill eagerly
-  EXPECT_TRUE(cache.should_fill(1, 100.0));  // never-built slot: build
-  EXPECT_EQ(cache.stats().skipped_fills, 2u);
-}
-
-TEST(NeighborCacheProperty, SkippedFillsStayExact) {
-  // The broadcast shape that motivated the heuristic: every node queries
-  // once per epoch, so no row is ever reused and -- after the first
-  // epoch -- every fill is skipped.  Skipped queries run the plain grid
-  // scan and must stay bit-identical to the brute-force scan.
-  sim::Simulator sim;
-  sim::World world(Rect{{0, 0}, {600, 600}}, sim);
-  Rng rng(23);
-  for (int i = 0; i < 60; ++i) {
-    world.add_sensor({rng.uniform(0, 600), rng.uniform(0, 600)}, 120, 1, 3,
-                     rng.split());
-  }
-  double t = 0;
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    sim.run_until(t += 30);  // past every slack deadline: forces a re-bin
-    for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
-         ++from) {
-      ASSERT_EQ(world.reachable_from(from), test::reachable(world, from))
-          << "epoch=" << epoch << " from=" << from;
-    }
-  }
-  EXPECT_GT(world.neighbor_cache_stats().skipped_fills, 0u);
-}
-
 TEST(NeighborCacheSteadyState, HitPathDoesNotAllocate) {
   // End-to-end pin on the cached scan path through World: once rows are
   // warm, every repeat query within an epoch -- the shape the CSMA
@@ -533,11 +502,10 @@ TEST(NeighborCacheSteadyState, HitPathDoesNotAllocate) {
   });
   EXPECT_EQ(allocs, 0u)
       << "cached medium scans must not touch the heap at steady state";
-  // Each (from, range) pair may spend its first measurement queries on a
-  // miss -- worst case two skipped fills plus the fill itself (the
-  // staleness heuristic's cold-row path) -- before settling into hits.
-  EXPECT_GE(world.neighbor_cache_stats().hits,
-            hits_before + 50u * 2u * static_cast<std::uint64_t>(n) - 6u * n);
+  // The last warm-up round built every (from, range) row at this very
+  // time, so no re-bin intervenes and every measured query is a hit.
+  EXPECT_EQ(world.neighbor_cache_stats().hits,
+            hits_before + 50u * 2u * static_cast<std::uint64_t>(n));
 }
 
 TEST(NeighborCacheSteadyState, RowRebuildsRecyclePoolsWithoutAllocating) {

@@ -374,6 +374,17 @@ TEST(ResultsWriter, EmitsSchemaValidDocument) {
   std::remove(path.c_str());
 }
 
+TEST(ResultsWriter, FailedWritesAreReported) {
+  ResultsWriter writer;
+  writer.set_benchmark("unit_test", "unit test run");
+  EXPECT_FALSE(writer.write(::testing::TempDir() + "no_such_dir/r.json"));
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  // Opens fine, but every write (or the flush in fclose) fails: ENOSPC.
+  EXPECT_FALSE(writer.write("/dev/full"));
+}
+
 TEST(Logging, ConcurrentLinesDoNotInterleave) {
   constexpr int kThreads = 8;
   constexpr int kLines = 25;

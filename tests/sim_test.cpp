@@ -206,6 +206,15 @@ TEST_F(WorldTest, ClosestActuator) {
   EXPECT_EQ(world.closest_actuator(s), a1);
   world.set_alive(a1, false);
   EXPECT_EQ(world.closest_actuator(s), a2);
+  // Two actuators exactly 200 m from the sensor: the lower id wins the
+  // tie, and the higher one takes over once it is down.
+  const NodeId a3 = world.add_actuator({300, 100}, 250);
+  const NodeId a4 = world.add_actuator({100, 300}, 250);
+  EXPECT_EQ(world.closest_actuator(s), a3);
+  world.set_alive(a3, false);
+  EXPECT_EQ(world.closest_actuator(s), a4);
+  // An actuator is never its own closest actuator.
+  EXPECT_EQ(world.closest_actuator(a4), a2);
 }
 
 TEST_F(WorldTest, AllOfFiltersByKind) {
@@ -421,6 +430,29 @@ TEST_F(ChannelTest, CsmaNeighborsDefer) {
   const double ft = channel.frame_time(2000);
   EXPECT_GE(std::abs(arrivals[1] - arrivals[0]), ft - 1e-9)
       << "frames of in-range senders must not overlap";
+}
+
+TEST_F(ChannelTest, LateNodeSendsAndDefersItsNeighbours) {
+  // The channel's per-node medium state grows on demand: a node that
+  // joins after frames already went out can send, and its frame defers
+  // every neighbour in its range.
+  const NodeId a = world.add_static_sensor({0, 0}, 100);
+  const NodeId b = world.add_static_sensor({50, 0}, 100);
+  channel.unicast(a, b, 2000, EnergyBucket::kData, nullptr);
+  sim.run_all();
+  const NodeId late = world.add_static_sensor({25, 50}, 100);
+  const NodeId peer = world.add_static_sensor({25, 100}, 100);
+  std::vector<Time> arrivals;
+  channel.unicast(late, peer, 2000, EnergyBucket::kData,
+                  [&](bool ok) { if (ok) arrivals.push_back(sim.now()); });
+  channel.unicast(a, b, 2000, EnergyBucket::kData,
+                  [&](bool ok) { if (ok) arrivals.push_back(sim.now()); });
+  sim.run_all();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_GE(arrivals[1] - arrivals[0], channel.frame_time(2000) - 1e-9)
+      << "a must defer behind the late node's frame";
+  EXPECT_GT(channel.node_airtime_s(late), 0.0);
+  EXPECT_EQ(channel.stats().unicasts_delivered, 3u);
 }
 
 TEST_F(ChannelTest, SpatialReuseAllowsParallelTransmissions) {

@@ -189,31 +189,6 @@ TEST(SpatialIndexEdgeCases, ZeroRangeNodeAmongRangedNodesSeesOnlyCoLocated) {
   EXPECT_EQ(world.reachable_from(twin), test::reachable(world, twin));
 }
 
-TEST(SpatialIndexEdgeCases, SizeListenerSeesEveryLateAddUntilRemoved) {
-  // Channel sizes its per-node medium tables through this listener; a
-  // world that grows after registration must keep notifying, and a
-  // removed listener must never fire again (dangling-capture UB
-  // otherwise).
-  sim::Simulator sim;
-  sim::World world(Rect{{0, 0}, {100, 100}}, sim);
-  world.add_static_sensor({10, 10}, 50);
-  std::vector<std::size_t> sizes;
-  const int token =
-      world.add_size_listener([&](std::size_t n) { sizes.push_back(n); });
-  ASSERT_EQ(sizes, (std::vector<std::size_t>{1}))
-      << "registration reports the current size immediately";
-  world.add_static_sensor({20, 10}, 50);
-  world.add_actuator({30, 10}, 80);
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 3}));
-  world.remove_size_listener(token);
-  world.add_static_sensor({40, 10}, 50);
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 3}))
-      << "removed listener fired on a late add";
-  // Removing an unknown (or already-removed) token is a harmless no-op.
-  world.remove_size_listener(token);
-  world.remove_size_listener(9999);
-}
-
 #ifndef NDEBUG
 TEST(SpatialIndexEdgeCases, UpdateOutsideTheNodeUniverseAsserts) {
   // start_build fixes the id universe; binning an id past it is a

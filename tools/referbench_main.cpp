@@ -117,6 +117,7 @@ int main(int argc, char** argv) {
     Context ctx(opt, info.name);
     const int bench_rc = info.fn(ctx);
     if (bench_rc != 0) rc = bench_rc;
+    if (ctx.write_failed) rc = 1;
     if (!opt.json_path.empty()) {
       ctx.results.add_records(ctx.executor.records());
       ctx.results.set_wall_s(ctx.executor.wall_s());
