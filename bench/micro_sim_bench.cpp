@@ -19,7 +19,8 @@
 // that fits std::function's inline buffer (16 bytes on libstdc++) vs. one
 // the size of the largest capture the simulator actually schedules
 // (Channel::unicast, ~56 bytes), which std::function heap-allocates and
-// EventClosure keeps in its 64-byte inline buffer.
+// EventClosure keeps in its 64-byte inline buffer.  EventClosure has
+// no other storage: a capture over 64 bytes does not compile.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -116,9 +117,8 @@ void bm_std_function(benchmark::State& state, Capture capture) {
 
 template <typename Capture>
 void bm_event_closure(benchmark::State& state, Capture capture) {
-  sim::ClosurePool pool;
   for (auto _ : state) {
-    sim::EventClosure fn(pool, Capture(capture));
+    sim::EventClosure fn{Capture(capture)};
     fn();
     benchmark::DoNotOptimize(&fn);
   }

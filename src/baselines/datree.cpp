@@ -6,13 +6,19 @@ namespace refer::baselines {
 
 using sim::EnergyBucket;
 
+namespace {
+
+constexpr int kBeaconTtl = 12;          ///< tree depth bound for construction
+constexpr int kRepairTtl = 8;           ///< flood TTL for re-parenting
+constexpr double kRepairDeadlineS = 0.5;
+constexpr int kMaxRetransmissions = 3;  ///< source retries per message
+constexpr std::size_t kControlBytes = 48;
+
+}  // namespace
+
 DaTree::DaTree(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
-               net::Flooder& flooder, DaTreeConfig config)
-    : sim_(&sim),
-      world_(&world),
-      channel_(&channel),
-      flooder_(&flooder),
-      config_(config) {}
+               net::Flooder& flooder)
+    : sim_(&sim), world_(&world), channel_(&channel), flooder_(&flooder) {}
 
 void DaTree::build(std::function<void(bool)> done) {
   // Each actuator floods one beacon; the first forwarder a sensor hears
@@ -20,7 +26,7 @@ void DaTree::build(std::function<void(bool)> done) {
   // becomes its parent.  Across floods the first tree that claimed a node
   // keeps it.
   for (NodeId a : world_->all_of(sim::NodeKind::kActuator)) {
-    flooder_->announce(a, config_.beacon_ttl, EnergyBucket::kConstruction,
+    flooder_->announce(a, kBeaconTtl, EnergyBucket::kConstruction,
                        [this](NodeId node, int /*hops*/, NodeId parent) {
                          // One tree per sensor: nodes already claimed by an
                          // earlier beacon neither re-attach nor forward the
@@ -30,7 +36,7 @@ void DaTree::build(std::function<void(bool)> done) {
                          parent_.emplace(node, parent);
                          return true;
                        },
-                       config_.control_bytes);
+                       kControlBytes);
   }
   // Beacons need a moment of simulated time to spread.
   sim_->schedule_in(1.0, [done = std::move(done)] { done(true); });
@@ -58,7 +64,7 @@ void DaTree::send_event(NodeId src, std::size_t bytes,
   msg->src = src;
   msg->bytes = bytes;
   msg->sent_at = sim_->now();
-  msg->retries_left = config_.max_retransmissions;
+  msg->retries_left = kMaxRetransmissions;
   msg->done = std::move(done);
   forward(src, msg);
 }
@@ -99,7 +105,7 @@ void DaTree::repair_and_retransmit(NodeId broken_node, PendingPtr msg) {
     return;
   }
   flooder_->discover(
-      broken_node, root, config_.repair_ttl, EnergyBucket::kMaintenance,
+      broken_node, root, kRepairTtl, EnergyBucket::kMaintenance,
       [this, broken_node, msg](std::optional<std::vector<NodeId>> path) {
         if (path && path->size() >= 2) {
           // New parent = next hop towards the root.
@@ -110,7 +116,7 @@ void DaTree::repair_and_retransmit(NodeId broken_node, PendingPtr msg) {
         ++stats_.retransmissions;
         forward(msg->src, msg);  // source retransmission
       },
-      config_.control_bytes, config_.repair_deadline_s);
+      kControlBytes, kRepairDeadlineS);
 }
 
 void DaTree::finish(NodeId actuator, PendingPtr msg) {

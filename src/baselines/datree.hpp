@@ -22,18 +22,10 @@
 
 namespace refer::baselines {
 
-struct DaTreeConfig {
-  int beacon_ttl = 12;          ///< tree depth bound for construction
-  int repair_ttl = 8;           ///< flood TTL for re-parenting
-  double repair_deadline_s = 0.5;
-  int max_retransmissions = 3;  ///< source retries per message
-  std::size_t control_bytes = 48;
-};
-
 class DaTree final : public WsanSystem {
  public:
   DaTree(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
-         net::Flooder& flooder, DaTreeConfig config = {});
+         net::Flooder& flooder);
 
   void build(std::function<void(bool)> done) override;
   void send_event(NodeId src, std::size_t bytes,
@@ -73,7 +65,6 @@ class DaTree final : public WsanSystem {
   sim::World* world_;
   sim::Channel* channel_;
   net::Flooder* flooder_;
-  DaTreeConfig config_;
   Stats stats_;
   std::unordered_map<NodeId, NodeId> parent_;
 };

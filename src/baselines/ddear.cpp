@@ -10,15 +10,23 @@ namespace refer::baselines {
 
 using sim::EnergyBucket;
 
+namespace {
+
+constexpr int kClusterRadiusHops = 2;
+constexpr int kRepairTtl = 8;
+constexpr double kRepairDeadlineS = 0.5;
+constexpr int kMaxRetransmissions = 3;
+constexpr std::size_t kControlBytes = 48;
+
+}  // namespace
+
 DDear::DDear(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
-             net::Flooder& flooder, sim::EnergyTracker& energy,
-             DDearConfig config)
+             net::Flooder& flooder, sim::EnergyTracker& energy)
     : sim_(&sim),
       world_(&world),
       channel_(&channel),
       flooder_(&flooder),
-      energy_(&energy),
-      config_(config) {}
+      energy_(&energy) {}
 
 std::vector<NodeId> DDear::khop_neighborhood(NodeId node, int hops) {
   std::unordered_set<NodeId> seen{node};
@@ -44,9 +52,9 @@ void DDear::build(std::function<void(bool)> done) {
   // 1-hop table) so all sensors learn their 2-hop neighbourhood.
   for (NodeId s : world_->all_of(sim::NodeKind::kSensor)) {
     if (!world_->alive(s)) continue;
-    channel_->broadcast(s, config_.control_bytes, EnergyBucket::kConstruction,
+    channel_->broadcast(s, kControlBytes, EnergyBucket::kConstruction,
                         nullptr);
-    channel_->broadcast(s, config_.control_bytes, EnergyBucket::kConstruction,
+    channel_->broadcast(s, kControlBytes, EnergyBucket::kConstruction,
                         nullptr);
   }
   sim_->schedule_in(0.5, [this, done = std::move(done)]() mutable {
@@ -158,7 +166,7 @@ Clustering cluster_sensors(sim::World& world,
 
 void DDear::elect_heads_and_paths(std::function<void(bool)> done) {
   Clustering clusters =
-      cluster_sensors(*world_, *energy_, config_.cluster_radius_hops);
+      cluster_sensors(*world_, *energy_, kClusterRadiusHops);
   head_of_ = std::move(clusters.head_of);
   discover_head_path(0, std::move(clusters.heads), std::move(done));
 }
@@ -177,14 +185,14 @@ void DDear::discover_head_path(std::size_t head_index,
     return;
   }
   flooder_->discover(
-      head, actuator, config_.repair_ttl, EnergyBucket::kConstruction,
+      head, actuator, kRepairTtl, EnergyBucket::kConstruction,
       [this, head, head_index, heads = std::move(heads),
        done = std::move(done)](std::optional<std::vector<NodeId>> path) mutable {
         if (path) head_paths_[head] = *path;
         else head_paths_[head] = {};  // repaired lazily on first use
         discover_head_path(head_index + 1, std::move(heads), std::move(done));
       },
-      config_.control_bytes, config_.repair_deadline_s);
+      kControlBytes, kRepairDeadlineS);
 }
 
 bool DDear::is_head(NodeId sensor) const { return head_paths_.contains(sensor); }
@@ -200,7 +208,7 @@ void DDear::send_event(NodeId src, std::size_t bytes,
   msg->src = src;
   msg->bytes = bytes;
   msg->sent_at = sim_->now();
-  msg->retries_left = config_.max_retransmissions;
+  msg->retries_left = kMaxRetransmissions;
   msg->done = std::move(done);
   route_from_member(src, msg);
 }
@@ -309,7 +317,7 @@ void DDear::repair_head_path(NodeId head, PendingPtr msg) {
     return;
   }
   flooder_->discover(
-      head, actuator, config_.repair_ttl, EnergyBucket::kMaintenance,
+      head, actuator, kRepairTtl, EnergyBucket::kMaintenance,
       [this, head, msg](std::optional<std::vector<NodeId>> path) {
         if (!path) {
           drop(msg);
@@ -319,7 +327,7 @@ void DDear::repair_head_path(NodeId head, PendingPtr msg) {
         ++stats_.retransmissions;
         walk_head_path(head, 0, msg);  // retransmit from the head
       },
-      config_.control_bytes, config_.repair_deadline_s);
+      kControlBytes, kRepairDeadlineS);
 }
 
 void DDear::reattach_member(NodeId member, PendingPtr msg) {
@@ -330,11 +338,11 @@ void DDear::reattach_member(NodeId member, PendingPtr msg) {
   ++stats_.reattachments;
   // The member announces itself (one broadcast) and adopts the closest
   // reachable head; without one it becomes a self-head.
-  channel_->broadcast(member, config_.control_bytes,
+  channel_->broadcast(member, kControlBytes,
                       EnergyBucket::kMaintenance, nullptr);
   NodeId new_head = -1;
   double best = std::numeric_limits<double>::infinity();
-  for (NodeId n : khop_neighborhood(member, config_.cluster_radius_hops)) {
+  for (NodeId n : khop_neighborhood(member, kClusterRadiusHops)) {
     if (!is_head(n) || !world_->alive(n)) continue;
     const double d = distance_sq(world_->position(member),
                                  world_->position(n));

@@ -24,14 +24,6 @@
 
 namespace refer::baselines {
 
-struct DDearConfig {
-  int cluster_radius_hops = 2;
-  int repair_ttl = 8;
-  double repair_deadline_s = 0.5;
-  int max_retransmissions = 3;
-  std::size_t control_bytes = 48;
-};
-
 /// One D-DEAR clustering of the sensors alive at the current instant.
 struct Clustering {
   /// Heads in election order: first every sensor that outscores its whole
@@ -57,8 +49,7 @@ struct Clustering {
 class DDear final : public WsanSystem {
  public:
   DDear(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
-        net::Flooder& flooder, sim::EnergyTracker& energy,
-        DDearConfig config = {});
+        net::Flooder& flooder, sim::EnergyTracker& energy);
 
   void build(std::function<void(bool)> done) override;
   void send_event(NodeId src, std::size_t bytes,
@@ -108,7 +99,6 @@ class DDear final : public WsanSystem {
   sim::Channel* channel_;
   net::Flooder* flooder_;
   sim::EnergyTracker* energy_;
-  DDearConfig config_;
   Stats stats_;
   std::vector<NodeId> head_of_;  // member -> head, indexed by NodeId
   std::unordered_map<NodeId, std::vector<NodeId>> head_paths_;  // head -> path to actuator

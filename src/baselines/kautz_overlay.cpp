@@ -10,15 +10,25 @@ namespace refer::baselines {
 
 using sim::EnergyBucket;
 
+namespace {
+
+constexpr int kDegree = 2;                ///< K(2,3) cells
+constexpr int kRepairTtl = 16;            ///< random arcs span most of the field
+constexpr double kRepairDeadlineS = 1.0;
+constexpr int kHopBudget = 24;            ///< overlay hops per message
+constexpr int kPathRepairsPerArc = 1;     ///< repair attempts before fail-over
+constexpr std::size_t kControlBytes = 48;
+
+}  // namespace
+
 KautzOverlay::KautzOverlay(sim::Simulator& sim, sim::World& world,
                            sim::Channel& channel, net::Flooder& flooder,
-                           Rng rng, KautzOverlayConfig config)
+                           Rng rng)
     : sim_(&sim),
       world_(&world),
       channel_(&channel),
       flooder_(&flooder),
-      rng_(rng),
-      config_(config) {}
+      rng_(rng) {}
 
 bool KautzOverlay::partition_cells() {
   const auto actuators = world_->all_of(sim::NodeKind::kActuator);
@@ -52,7 +62,7 @@ bool KautzOverlay::partition_cells() {
 void KautzOverlay::assign_random_labels() {
   // Hash-style ID assignment: every non-corner label of every cell goes
   // to a uniformly random unassigned sensor, wherever it happens to be.
-  const kautz::Graph graph(config_.d, 3);
+  const kautz::Graph graph(kDegree, 3);
   std::vector<NodeId> pool;
   for (NodeId s : world_->all_of(sim::NodeKind::kSensor)) {
     if (world_->alive(s)) pool.push_back(s);
@@ -77,7 +87,7 @@ void KautzOverlay::assign_random_labels() {
 void KautzOverlay::build(std::function<void(bool)> done) {
   // Actuator hello round (as in REFER's phase 1).
   for (NodeId a : world_->all_of(sim::NodeKind::kActuator)) {
-    channel_->broadcast(a, config_.control_bytes, EnergyBucket::kConstruction,
+    channel_->broadcast(a, kControlBytes, EnergyBucket::kConstruction,
                         nullptr);
   }
   if (!partition_cells()) {
@@ -87,7 +97,7 @@ void KautzOverlay::build(std::function<void(bool)> done) {
   assign_random_labels();
   // Every overlay arc needs a physical multi-hop path, discovered by
   // broadcasting (the dominant construction cost, paper Fig. 10).
-  const kautz::Graph graph(config_.d, 3);
+  const kautz::Graph graph(kDegree, 3);
   std::vector<std::pair<NodeId, NodeId>> arcs;
   for (const Cell& cell : cells_) {
     for (const Label& u : cell.labels()) {
@@ -113,7 +123,7 @@ void KautzOverlay::discover_arcs(std::vector<std::pair<NodeId, NodeId>> arcs,
   }
   const auto [from, to] = arcs[index];
   flooder_->discover(
-      from, to, config_.repair_ttl, EnergyBucket::kConstruction,
+      from, to, kRepairTtl, EnergyBucket::kConstruction,
       [this, arcs = std::move(arcs), index, done = std::move(done)](
           std::optional<std::vector<NodeId>> path) mutable {
         if (path) {
@@ -122,7 +132,7 @@ void KautzOverlay::discover_arcs(std::vector<std::pair<NodeId, NodeId>> arcs,
         }
         discover_arcs(std::move(arcs), index + 1, std::move(done));
       },
-      config_.control_bytes, config_.repair_deadline_s);
+      kControlBytes, kRepairDeadlineS);
 }
 
 std::optional<std::pair<Cid, Label>> KautzOverlay::binding_of(
@@ -137,7 +147,7 @@ void KautzOverlay::send_event(NodeId src, std::size_t bytes,
   auto msg = std::make_shared<Pending>();
   msg->bytes = bytes;
   msg->sent_at = sim_->now();
-  msg->overlay_hops_left = config_.hop_budget;
+  msg->overlay_hops_left = kHopBudget;
   msg->done = std::move(done);
 
   if (world_->is_actuator(src)) {
@@ -228,7 +238,7 @@ void KautzOverlay::overlay_step(Cid cid, Label label, NodeId node,
     }
   }
   try_successors(cid, label, node,
-                 kautz::disjoint_routes(config_.d, label, target), 0, msg);
+                 kautz::disjoint_routes(kDegree, label, target), 0, msg);
 }
 
 void KautzOverlay::try_successors(Cid cid, Label label, NodeId node,
@@ -247,7 +257,7 @@ void KautzOverlay::try_successors(Cid cid, Label label, NodeId node,
     return;
   }
   const Label succ_label = routes[choice].successor;
-  walk_arc(node, *succ_node, 0, config_.path_repairs_per_arc, msg,
+  walk_arc(node, *succ_node, 0, kPathRepairsPerArc, msg,
            [this, cid, label, node, routes = std::move(routes), choice,
             succ_label, succ_node = *succ_node, msg](bool ok) mutable {
              if (!ok) {
@@ -270,7 +280,7 @@ void KautzOverlay::walk_arc(NodeId from, NodeId to, std::size_t hop,
     }
     ++stats_.path_repairs;
     flooder_->discover(
-        from, to, config_.repair_ttl, EnergyBucket::kMaintenance,
+        from, to, kRepairTtl, EnergyBucket::kMaintenance,
         [this, from, to, repairs_left, msg, done = std::move(done)](
             std::optional<std::vector<NodeId>> path) mutable {
           if (!path) {
@@ -280,7 +290,7 @@ void KautzOverlay::walk_arc(NodeId from, NodeId to, std::size_t hop,
           arc_paths_[{from, to}] = *path;
           walk_arc(from, to, 0, repairs_left - 1, msg, std::move(done));
         },
-        config_.control_bytes, config_.repair_deadline_s);
+        kControlBytes, kRepairDeadlineS);
     return;
   }
   const auto& path = it->second;
@@ -307,7 +317,7 @@ void KautzOverlay::walk_arc(NodeId from, NodeId to, std::size_t hop,
         const auto& broken = arc_paths_[{from, to}];
         const NodeId holder = broken[hop];
         flooder_->discover(
-            holder, to, config_.repair_ttl, EnergyBucket::kMaintenance,
+            holder, to, kRepairTtl, EnergyBucket::kMaintenance,
             [this, from, to, holder, repairs_left, msg,
              done = std::move(done)](
                 std::optional<std::vector<NodeId>> fresh) mutable {
@@ -329,7 +339,7 @@ void KautzOverlay::walk_arc(NodeId from, NodeId to, std::size_t hop,
               walk_arc(from, to, hop_at, repairs_left - 1, msg,
                        std::move(done));
             },
-            config_.control_bytes, config_.repair_deadline_s);
+            kControlBytes, kRepairDeadlineS);
       });
 }
 

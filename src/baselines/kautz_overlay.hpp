@@ -33,19 +33,10 @@ using core::Cell;
 using core::Cid;
 using kautz::Label;
 
-struct KautzOverlayConfig {
-  int d = 2;
-  int repair_ttl = 16;            ///< random arcs span most of the field
-  double repair_deadline_s = 1.0;
-  int hop_budget = 24;            ///< overlay hops per message
-  int path_repairs_per_arc = 1;   ///< repair attempts before fail-over
-  std::size_t control_bytes = 48;
-};
-
 class KautzOverlay final : public WsanSystem {
  public:
   KautzOverlay(sim::Simulator& sim, sim::World& world, sim::Channel& channel,
-               net::Flooder& flooder, Rng rng, KautzOverlayConfig config = {});
+               net::Flooder& flooder, Rng rng);
 
   void build(std::function<void(bool)> done) override;
   void send_event(NodeId src, std::size_t bytes,
@@ -101,7 +92,6 @@ class KautzOverlay final : public WsanSystem {
   sim::Channel* channel_;
   net::Flooder* flooder_;
   Rng rng_;
-  KautzOverlayConfig config_;
   Stats stats_;
   std::vector<Cell> cells_;
   std::unordered_map<NodeId, std::pair<Cid, Label>> bindings_;

@@ -355,12 +355,12 @@ class Driver {
     StatsRegistry& st = dep_->stats;
     st.counter("sim.events_executed").set(dep_->sim.events_executed());
     st.counter("sim.peak_queue_depth").set(dep_->sim.peak_pending());
-    // Closure-storage health: pooled_closures must stay 0 for every
-    // workload in the repo (the capture audit).
-    const sim::ClosurePool::Stats& cls = dep_->sim.closure_stats();
-    st.counter("sim.closure.inline").set(cls.inline_closures);
-    st.counter("sim.closure.pooled").set(cls.pooled_closures);
-    st.counter("sim.closure.pool_blocks").set(cls.blocks_allocated);
+    // Every closure is stored inline, so sim.closure.inline counts every
+    // scheduled event and the two pool counters read 0.  They stay in the
+    // snapshot because the perfbench reference digests cover them.
+    st.counter("sim.closure.inline").set(dep_->sim.events_scheduled());
+    st.counter("sim.closure.pooled").set(0);
+    st.counter("sim.closure.pool_blocks").set(0);
     const sim::ChannelStats& cs = dep_->channel.stats();
     st.counter("channel.unicasts_sent").set(cs.unicasts_sent);
     st.counter("channel.unicasts_delivered").set(cs.unicasts_delivered);
@@ -649,6 +649,25 @@ AggregateMetrics run_repeated(SystemKind kind, Scenario scenario,
   append_group(specs, 0, x, kind, scenario, repetitions);
   execute_jobs(specs, jobs);
   return aggregate_jobs(specs, 1, sink)[0];
+}
+
+std::vector<RunMetrics> run_batch(const std::vector<BatchJob>& batch,
+                                  int jobs, const JobSink& sink) {
+  std::vector<JobSpec> specs(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    specs[i].record.system = batch[i].system;
+    specs[i].record.rep = static_cast<int>(i);
+    specs[i].record.seed = batch[i].scenario.seed;
+    specs[i].scenario = batch[i].scenario;
+  }
+  execute_jobs(specs, jobs);
+  std::vector<RunMetrics> metrics;
+  metrics.reserve(specs.size());
+  for (const JobSpec& spec : specs) {
+    if (sink) sink(spec.record);
+    metrics.push_back(spec.record.metrics);
+  }
+  return metrics;
 }
 
 std::vector<SweepPoint> sweep(

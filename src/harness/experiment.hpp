@@ -136,6 +136,22 @@ using JobSink = std::function<void(const JobRecord&)>;
                                             const JobSink& sink = {},
                                             double x = 0);
 
+/// One unit of run_batch: any (system, scenario) pair.
+struct BatchJob {
+  SystemKind system = SystemKind::kRefer;
+  Scenario scenario;
+};
+
+/// Runs every job of a heterogeneous batch once and returns the metrics
+/// in input order; `sink` sees one JobRecord per job (rep = its index in
+/// the batch), also in input order.  `jobs` > 1 executes the jobs on a
+/// runner::ThreadPool with the same results as the serial path.  A job's
+/// Scenario::observer runs on the worker executing that job: each job
+/// must carry its own observer instance.
+[[nodiscard]] std::vector<RunMetrics> run_batch(
+    const std::vector<BatchJob>& batch, int jobs = 1,
+    const JobSink& sink = {});
+
 /// One point of a figure: x value plus per-system aggregates.
 struct SweepPoint {
   double x = 0;

@@ -1,6 +1,5 @@
 #include "net/flooding.hpp"
 
-#include <deque>
 #include <memory>
 
 namespace refer::net {
@@ -229,38 +228,6 @@ void Flooder::announce(NodeId src, int ttl, sim::EnergyBucket bucket,
   std::make_shared<AnnounceQuery>(*sim_, *world_, *channel_, bucket, bytes,
                                   ttl, std::move(on_node))
       ->receive(src, -1, 0);
-}
-
-std::optional<std::vector<NodeId>> bfs_path(
-    sim::World& world, NodeId src, NodeId dst,
-    const std::unordered_set<NodeId>* exclude) {
-  if (src == dst) return std::vector<NodeId>{src};
-  std::unordered_map<NodeId, NodeId> parent;
-  std::deque<NodeId> frontier{src};
-  parent[src] = src;
-  // One leased neighbour buffer reused across every BFS expansion.
-  sim::ScratchPool::Lease lease = world.lease_scratch();
-  std::vector<NodeId>& neighbours = *lease;
-  while (!frontier.empty()) {
-    const NodeId at = frontier.front();
-    frontier.pop_front();
-    world.reachable_from(at, neighbours);
-    for (NodeId next : neighbours) {
-      if (parent.contains(next)) continue;
-      if (exclude && next != dst && exclude->contains(next)) continue;
-      parent[next] = at;
-      if (next == dst) {
-        std::vector<NodeId> path{dst};
-        for (NodeId cur = dst; cur != src;) {
-          cur = parent[cur];
-          path.push_back(cur);
-        }
-        return std::vector<NodeId>(path.rbegin(), path.rend());
-      }
-      frontier.push_back(next);
-    }
-  }
-  return std::nullopt;
 }
 
 namespace {

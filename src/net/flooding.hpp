@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -89,13 +87,6 @@ class Flooder {
   sim::Channel* channel_;
   std::uint64_t next_query_ = 0;
 };
-
-/// BFS over the *current* physical connectivity (directed by sender
-/// range): the ground-truth multi-hop path, used by tests, by topology
-/// bootstrap oracles, and to model cached routes.  Charges no energy.
-[[nodiscard]] std::optional<std::vector<NodeId>> bfs_path(
-    sim::World& world, NodeId src, NodeId dst,
-    const std::unordered_set<NodeId>* exclude = nullptr);
 
 /// Sends `bytes` hop-by-hop along `path` (front()=current holder) as data
 /// unicasts.  `done(delivered_hops, success)` fires when the last hop

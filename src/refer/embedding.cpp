@@ -13,6 +13,13 @@ namespace refer::core {
 
 using sim::EnergyBucket;
 
+namespace {
+
+constexpr std::size_t kControlBytes = 48;  ///< size of control frames
+constexpr double kQueryDeadlineS = 0.4;    ///< per path-query collect deadline
+
+}  // namespace
+
 EmbeddingProtocol::EmbeddingProtocol(sim::Simulator& sim, sim::World& world,
                                      sim::Channel& channel,
                                      net::Flooder& flooder,
@@ -26,23 +33,12 @@ EmbeddingProtocol::EmbeddingProtocol(sim::Simulator& sim, sim::World& world,
       config_(config) {}
 
 void EmbeddingProtocol::run(DoneFn done) {
-  if (config_.d != 2) {
-    // The message-level schedule implements the paper's K(2,3) protocol;
-    // other degrees use the oracle embedding (refer/oracle_embedding.hpp).
-    log_error("EmbeddingProtocol supports d == 2 only (got %d)", config_.d);
-    done(false);
-    return;
-  }
-  start_actuator_phase(std::move(done));
-}
-
-void EmbeddingProtocol::start_actuator_phase(DoneFn done) {
   // Phase 1: every actuator announces itself and (one frame later) its
   // neighbour list, so all actuators learn the global actuator topology.
   for (NodeId a : world_->all_of(sim::NodeKind::kActuator)) {
-    channel_->broadcast(a, config_.control_bytes, EnergyBucket::kConstruction,
+    channel_->broadcast(a, kControlBytes, EnergyBucket::kConstruction,
                         nullptr);
-    channel_->broadcast(a, config_.control_bytes, EnergyBucket::kConstruction,
+    channel_->broadcast(a, kControlBytes, EnergyBucket::kConstruction,
                         nullptr);
     stats_.actuator_broadcasts += 2;
   }
@@ -111,7 +107,7 @@ bool EmbeddingProtocol::partition_and_color() {
     return false;
   }
 
-  topology_.set_degree(config_.d);
+  topology_.set_degree(2);
   topology_.set_diameter(3);
   const auto corner_labels = actuator_labels();
   for (std::size_t i = 0; i < actuators.size(); ++i) {
@@ -192,7 +188,7 @@ void EmbeddingProtocol::notify_actuators(DoneFn done) {
     for (NodeId b : actuators) {
       if (seen[b] || !world_->can_reach(at, b)) continue;
       seen[b] = true;
-      channel_->unicast(at, b, config_.control_bytes,
+      channel_->unicast(at, b, kControlBytes,
                         EnergyBucket::kConstruction, nullptr);
       ++stats_.notification_unicasts;
       stack.push_back(b);
@@ -244,7 +240,7 @@ void EmbeddingProtocol::run_next_query(std::size_t index, DoneFn done) {
         }
         run_next_query(index + 1, std::move(done));
       },
-      config_.control_bytes, config_.query_deadline_s,
+      kControlBytes, kQueryDeadlineS,
       config_.query_tx_range);
 }
 
@@ -298,9 +294,9 @@ bool EmbeddingProtocol::apply_query_result(
   }
   // Assignment notifications travel back along the path (selector -> s2 ->
   // s1), which stays within range.
-  channel_->unicast(selector, chosen[1], config_.control_bytes,
+  channel_->unicast(selector, chosen[1], kControlBytes,
                     EnergyBucket::kConstruction, nullptr);
-  channel_->unicast(chosen[1], chosen[0], config_.control_bytes,
+  channel_->unicast(chosen[1], chosen[0], kControlBytes,
                     EnergyBucket::kConstruction, nullptr);
   stats_.notification_unicasts += 2;
   return true;
@@ -339,9 +335,9 @@ bool EmbeddingProtocol::fallback_assign(const QueryTask& task) {
     topology_.set_sensor_binding(s2, FullId{task.cid, task.tmpl.assigns[1]});
     topology_.set_role(s1, Role::kActive);
     topology_.set_role(s2, Role::kActive);
-    channel_->unicast(*from, s1, config_.control_bytes,
+    channel_->unicast(*from, s1, kControlBytes,
                       EnergyBucket::kConstruction, nullptr);
-    channel_->unicast(s1, s2, config_.control_bytes,
+    channel_->unicast(s1, s2, kControlBytes,
                       EnergyBucket::kConstruction, nullptr);
     stats_.notification_unicasts += 2;
     ++stats_.fallback_assignments;
@@ -390,9 +386,9 @@ void EmbeddingProtocol::finish_cell_fill_ins(std::size_t cell_index,
   }
   // The two holders probe for common neighbours (one broadcast each,
   // maintenance-style but still part of construction).
-  channel_->broadcast(*holder_a, config_.control_bytes,
+  channel_->broadcast(*holder_a, kControlBytes,
                       EnergyBucket::kConstruction, nullptr);
-  channel_->broadcast(*holder_b, config_.control_bytes,
+  channel_->broadcast(*holder_b, kControlBytes,
                       EnergyBucket::kConstruction, nullptr);
   stats_.actuator_broadcasts += 2;
 
@@ -452,7 +448,7 @@ void EmbeddingProtocol::finish_cell_fill_ins(std::size_t cell_index,
   topology_.set_sensor_binding(best,
                                FullId{cell.cid(), fill.label});
   topology_.set_role(best, Role::kActive);
-  channel_->unicast(*holder_a, best, config_.control_bytes,
+  channel_->unicast(*holder_a, best, kControlBytes,
                     EnergyBucket::kConstruction, nullptr);
   ++stats_.notification_unicasts;
   ++stats_.cells_embedded;
@@ -483,7 +479,7 @@ void EmbeddingProtocol::assign_roles_and_join_can() {
     topology_.can().join(cid, Topology::can_point(cell.center(),
                                                   world_->area()));
     if (const auto corner = cell.corner_actuators()[0]) {
-      channel_->broadcast(*corner, config_.control_bytes,
+      channel_->broadcast(*corner, kControlBytes,
                           EnergyBucket::kConstruction, nullptr);
       ++stats_.actuator_broadcasts;
     }

@@ -40,10 +40,6 @@
 namespace refer::core {
 
 struct EmbeddingConfig {
-  int d = 2;                      ///< K(d, 3) degree; the protocol schedule
-                                  ///< is the paper's K(2,3) one.
-  double query_deadline_s = 0.4;  ///< per path-query collect deadline
-  std::size_t control_bytes = 48; ///< size of control frames
   /// Path queries transmit at this power-controlled range so that
   /// actuator-sourced TTL=2 floods discover sensor-length 3-hop chains
   /// (the paper's K(2,3) geometry); 0 = senders' full power.
@@ -91,7 +87,6 @@ class EmbeddingProtocol {
     PathQueryTemplate tmpl;
   };
 
-  void start_actuator_phase(DoneFn done);
   bool partition_and_color();
   void notify_actuators(DoneFn done);
   void run_next_query(std::size_t index, DoneFn done);

@@ -3,25 +3,31 @@
 #include <algorithm>
 #include <limits>
 
-#include "kautz/graph.hpp"
-
 namespace refer::core {
 
 using sim::EnergyBucket;
+
+namespace {
+
+constexpr double kSweepPeriodS = 2.0;     ///< replacement check cadence
+constexpr double kProbePeriodS = 20.0;    ///< wait-node wake/probe cadence
+constexpr double kLinkMargin = 0.9;       ///< replace when arc > margin*range
+constexpr double kBatteryThresholdJ = 8;  ///< self-retire threshold
+constexpr std::size_t kControlBytes = 32;
+
+}  // namespace
 
 MaintenanceProtocol::MaintenanceProtocol(sim::Simulator& sim,
                                          sim::World& world,
                                          sim::Channel& channel,
                                          sim::EnergyTracker& energy,
-                                         Topology& topology, Rng rng,
-                                         MaintenanceConfig config)
+                                         Topology& topology, Rng rng)
     : sim_(&sim),
       world_(&world),
       channel_(&channel),
       energy_(&energy),
       topology_(&topology),
-      rng_(rng),
-      config_(config) {}
+      rng_(rng) {}
 
 void MaintenanceProtocol::start() {
   if (running_) return;
@@ -33,10 +39,10 @@ void MaintenanceProtocol::start() {
 void MaintenanceProtocol::stop() { running_ = false; }
 
 void MaintenanceProtocol::schedule_next() {
-  sim_->schedule_in(config_.sweep_period_s, [this] {
+  sim_->schedule_in(kSweepPeriodS, [this] {
     if (!running_) return;
     sweep();
-    if (sim_->now() - last_probe_ >= config_.probe_period_s) {
+    if (sim_->now() - last_probe_ >= kProbePeriodS) {
       last_probe_ = sim_->now();
       probe_wait_nodes();
     }
@@ -50,37 +56,40 @@ void MaintenanceProtocol::probe_wait_nodes() {
   // nodes stay silent (that is where the energy saving comes from).
   for (NodeId s : world_->all_of(sim::NodeKind::kSensor)) {
     if (topology_->role(s) != Role::kWait || !world_->alive(s)) continue;
-    channel_->broadcast(s, config_.control_bytes, EnergyBucket::kMaintenance,
+    channel_->broadcast(s, kControlBytes, EnergyBucket::kMaintenance,
                         nullptr);
     ++stats_.probe_broadcasts;
   }
 }
 
-std::vector<NodeId> MaintenanceProtocol::arc_neighbors(
-    const Cell& cell, const Label& label) const {
-  const kautz::Graph graph(topology_->degree(), topology_->diameter());
-  std::vector<NodeId> out;
-  auto add = [&](const Label& l) {
+int MaintenanceProtocol::broken_arcs(const Cell& cell, const Label& label,
+                                     NodeId node, Point at) {
+  // The holders of the label's out-neighbours (shift a digit in at the
+  // end) and in-neighbours (shift one in at the front) in K(d, k); each
+  // distinct holder counts once, however many of those labels it holds.
+  arc_holders_.clear();
+  auto add = [this, &cell](const Label& l) {
     if (const auto n = cell.node_of(l)) {
-      if (std::find(out.begin(), out.end(), *n) == out.end()) {
-        out.push_back(*n);
+      if (std::find(arc_holders_.begin(), arc_holders_.end(), *n) ==
+          arc_holders_.end()) {
+        arc_holders_.push_back(*n);
       }
     }
   };
-  for (const Label& l : graph.out_neighbors(label)) add(l);
-  for (const Label& l : graph.in_neighbors(label)) add(l);
-  return out;
-}
-
-int MaintenanceProtocol::broken_arcs(const Cell& cell, const Label& label,
-                                     NodeId node, Point at) const {
+  const int alphabet = topology_->degree() + 1;
+  for (kautz::Digit a = 0; a < alphabet; ++a) {
+    if (a != label.last()) add(label.shift_append(a));
+  }
+  for (kautz::Digit b = 0; b < alphabet; ++b) {
+    if (b != label.first()) add(label.shift_prepend(b));
+  }
   // An arc is "broken" when its endpoints cannot talk directly at sensor
   // power (the router then needs the 1-relay detour).  The link margin
   // shrinks the threshold so links about to break (signal strength
   // fading, SIII-B4) already count.
   int broken = 0;
-  const double reach = world_->range(node) * config_.link_margin;
-  for (NodeId n : arc_neighbors(cell, label)) {
+  const double reach = world_->range(node) * kLinkMargin;
+  for (NodeId n : arc_holders_) {
     if (n == node || !world_->alive(n)) continue;
     if (distance(at, world_->position(n)) > reach) ++broken;
   }
@@ -91,7 +100,7 @@ bool MaintenanceProtocol::needs_replacement(const Cell& cell,
                                             const Label& label, NodeId node) {
   if (!world_->alive(node)) return true;
   if (energy_->battery(static_cast<std::size_t>(node)) <
-      config_.battery_threshold_j) {
+      kBatteryThresholdJ) {
     return true;
   }
   return broken_arcs(cell, label, node, world_->position(node)) > 0;
@@ -121,7 +130,7 @@ void MaintenanceProtocol::replace(Cell& cell, const Label& label,
   const bool mandatory =
       !world_->alive(old_node) ||
       energy_->battery(static_cast<std::size_t>(old_node)) <
-          config_.battery_threshold_j;
+          kBatteryThresholdJ;
   const int old_broken =
       world_->alive(old_node)
           ? broken_arcs(cell, label, old_node, world_->position(old_node))
@@ -150,10 +159,10 @@ void MaintenanceProtocol::replace(Cell& cell, const Label& label,
   // Handover: the retiring node notifies the replacement; the replacement
   // announces itself to the label's neighbours (one broadcast).
   if (world_->alive(old_node)) {
-    channel_->unicast(old_node, best, config_.control_bytes,
+    channel_->unicast(old_node, best, kControlBytes,
                       EnergyBucket::kMaintenance, nullptr);
   }
-  channel_->broadcast(best, config_.control_bytes, EnergyBucket::kMaintenance,
+  channel_->broadcast(best, kControlBytes, EnergyBucket::kMaintenance,
                       nullptr);
   cell.unbind(label);
   cell.bind(label, best);

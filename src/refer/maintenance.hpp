@@ -19,20 +19,11 @@
 
 namespace refer::core {
 
-struct MaintenanceConfig {
-  double sweep_period_s = 2.0;     ///< replacement check cadence
-  double probe_period_s = 20.0;    ///< wait-node wake/probe cadence
-  double link_margin = 0.9;        ///< replace when arc length > margin*range
-  double battery_threshold_j = 8;  ///< self-retire threshold
-  std::size_t control_bytes = 32;
-};
-
 class MaintenanceProtocol {
  public:
   MaintenanceProtocol(sim::Simulator& sim, sim::World& world,
                       sim::Channel& channel, sim::EnergyTracker& energy,
-                      Topology& topology, Rng rng,
-                      MaintenanceConfig config = {});
+                      Topology& topology, Rng rng);
 
   /// Starts the periodic sweeps (runs until stop() or end of simulation).
   void start();
@@ -58,10 +49,7 @@ class MaintenanceProtocol {
   /// Number of the label's Kautz arcs that a holder at `at` cannot keep
   /// within link-margin range.
   [[nodiscard]] int broken_arcs(const Cell& cell, const Label& label,
-                                NodeId node, Point at) const;
-  /// The physical holders of the label's in/out Kautz neighbours.
-  [[nodiscard]] std::vector<NodeId> arc_neighbors(const Cell& cell,
-                                                  const Label& label) const;
+                                NodeId node, Point at);
   void replace(Cell& cell, const Label& label, NodeId old_node);
 
   sim::Simulator* sim_;
@@ -70,7 +58,10 @@ class MaintenanceProtocol {
   sim::EnergyTracker* energy_;
   Topology* topology_;
   Rng rng_;
-  MaintenanceConfig config_;
+  /// broken_arcs' distinct holders of the label's in/out Kautz
+  /// neighbours (at most 2d); refilled per call, so its capacity is
+  /// reused and sweeps do not allocate once warm.
+  std::vector<NodeId> arc_holders_;
   Stats stats_;
   bool running_ = false;
   double last_probe_ = 0;

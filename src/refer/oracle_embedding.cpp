@@ -14,6 +14,13 @@ namespace refer::core {
 using sim::EnergyBucket;
 using sim::NodeId;
 
+namespace {
+
+constexpr double kRingRadiusFactor = 0.8;  ///< ring radius vs. cell inradius
+constexpr std::size_t kControlBytes = 48;
+
+}  // namespace
+
 bool oracle_embed(sim::World& world, sim::Channel& channel,
                   Topology& topology, const OracleEmbeddingConfig& config) {
   const kautz::Graph graph(config.d, config.k);
@@ -73,7 +80,7 @@ bool oracle_embed(sim::World& world, sim::Channel& channel,
       topology.set_role(actuator, Role::kActuator);
       topology.set_actuator_label(actuator, label);
       topology.add_actuator_cell(actuator, cid);
-      channel.broadcast(actuator, config.control_bytes,
+      channel.broadcast(actuator, kControlBytes,
                         EnergyBucket::kConstruction, nullptr);
     }
     cell.set_corner_labels(corner_labels);
@@ -84,7 +91,7 @@ bool oracle_embed(sim::World& world, sim::Channel& channel,
     for (const Point& c : corners) {
       inradius = std::min(inradius, distance(center, c));
     }
-    const double radius = inradius * config.ring_radius_factor;
+    const double radius = inradius * kRingRadiusFactor;
     const auto all_sensors = world.all_of(sim::NodeKind::kSensor);
     for (std::size_t i = 0; i < n; ++i) {
       const Label& label = cycle[i];
@@ -114,7 +121,7 @@ bool oracle_embed(sim::World& world, sim::Channel& channel,
       topology.set_role(best, Role::kActive);
       // ID notification from the cell's first actuator.
       channel.unicast(*cell.corner_actuators()[0], best,
-                      config.control_bytes, EnergyBucket::kConstruction,
+                      kControlBytes, EnergyBucket::kConstruction,
                       nullptr);
     }
   }

@@ -31,8 +31,6 @@ namespace refer::core {
 struct OracleEmbeddingConfig {
   int d = 2;
   int k = 3;
-  double ring_radius_factor = 0.8;  ///< ring radius vs. cell inradius
-  std::size_t control_bytes = 48;
   /// Sparse deployments: when true, cells may be *partial* -- labels stay
   /// unbound once the sensor pool runs out.  The router skips unbound
   /// successors (one fewer disjoint alternative per gap), so routing

@@ -8,6 +8,16 @@ namespace refer::core {
 
 using sim::EnergyBucket;
 
+namespace {
+
+constexpr int kHopBudgetFactor = 6;  ///< packet TTL = factor * k Kautz hops
+/// Nominal payload; route-generation floods carry kDataBytes / 16 + 32.
+constexpr std::size_t kDataBytes = 1000;
+constexpr int kRouteGenTtl = 8;  ///< flood TTL for kRouteGeneration
+constexpr double kRouteGenDeadlineS = 0.5;
+
+}  // namespace
+
 ReferRouter::ReferRouter(sim::Simulator& sim, sim::World& world,
                          sim::Channel& channel, Topology& topology,
                          RouterConfig config, Rng rng)
@@ -62,7 +72,7 @@ void ReferRouter::start(NodeId src, FullId dst, bool stop_at_any_actuator,
   pkt->stop_at_any_actuator = stop_at_any_actuator;
   pkt->bytes = bytes;
   pkt->sent_at = sim_->now();
-  pkt->hops_left = config_.hop_budget_factor * topology_->diameter() + 6;
+  pkt->hops_left = kHopBudgetFactor * topology_->diameter() + 6;
   pkt->id = next_packet_id_++;
   pkt->done = std::move(done);
   if (tracing()) {
@@ -488,10 +498,6 @@ void ReferRouter::transmit_arc(NodeId from, NodeId to, PacketPtr pkt,
           done(true);
           return;
         }
-        if (!config_.allow_relay) {
-          done(false);
-          return;
-        }
         // The arc outgrew the direct range: look for a 1-relay detour via
         // a common physical neighbour (neighbour tables from maintenance
         // beacons).
@@ -544,7 +550,7 @@ void ReferRouter::route_generation_failover(Cid cid, NodeId node,
   }
   ++stats_.route_gen_floods;
   flooder_->discover(
-      node, *dst_node, config_.route_gen_ttl, sim::EnergyBucket::kMaintenance,
+      node, *dst_node, kRouteGenTtl, sim::EnergyBucket::kMaintenance,
       [this, cid, node, target, dst_node = *dst_node,
        pkt](std::optional<std::vector<NodeId>> path) {
         if (!path || path->size() < 2) {
@@ -574,7 +580,7 @@ void ReferRouter::route_generation_failover(Cid cid, NodeId node,
               intra_step(cid, target, dst_node, pkt);
             });
       },
-      config_.data_bytes / 16 + 32, config_.route_gen_deadline_s);
+      kDataBytes / 16 + 32, kRouteGenDeadlineS);
 }
 
 void ReferRouter::record_arc(const Label& u, const Label& next) {

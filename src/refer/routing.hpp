@@ -63,13 +63,8 @@ enum class RoutingPolicy {
 };
 
 struct RouterConfig {
-  std::size_t data_bytes = 1000;  ///< default payload per packet
-  int hop_budget_factor = 6;      ///< packet TTL = factor * k Kautz hops
-  bool allow_relay = true;        ///< permit 1-relay detours for long arcs
   RoutingPolicy policy = RoutingPolicy::kGreedy;
   FailoverMode failover = FailoverMode::kTheorem38;
-  int route_gen_ttl = 8;          ///< flood TTL for kRouteGeneration
-  double route_gen_deadline_s = 0.5;
   /// TESTING ONLY (harness::Scenario::planted_bug).  1 = report a wrong
   /// Theorem 3.8 nominal length in fail-over trace records, so the
   /// verification engine (src/verify) can prove its trace audit catches
@@ -202,7 +197,8 @@ class ReferRouter {
   /// distance, starting at index `next_choice`, until one delivers.
   void try_successors(NodeId actuator, std::vector<NodeId> candidates,
                       std::size_t next_choice, PacketPtr pkt);
-  /// Physical transfer of one Kautz arc with optional 1-relay detour.
+  /// Physical transfer of one Kautz arc, with a 1-relay detour when the
+  /// direct frame fails.
   void transmit_arc(NodeId from, NodeId to, PacketPtr pkt,
                     std::function<void(bool)> done);
   /// kRouteGeneration fail-over: flood-discover a path from `node` to the

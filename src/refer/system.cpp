@@ -16,8 +16,7 @@ ReferSystem::ReferSystem(sim::Simulator& sim, sim::World& world,
                                           config.router, rng.split());
   router_->set_flooder(&flooder_);
   maintenance_ = std::make_unique<MaintenanceProtocol>(
-      sim, world, channel, energy, embedding_.topology(), rng.split(),
-      config.maintenance);
+      sim, world, channel, energy, embedding_.topology(), rng.split());
 }
 
 void ReferSystem::build(std::function<void(bool)> done) {

@@ -29,7 +29,6 @@ namespace refer::core {
 struct ReferConfig {
   EmbeddingConfig embedding{};
   RouterConfig router{};
-  MaintenanceConfig maintenance{};
   bool run_maintenance = true;
   /// When true, build() uses the offline oracle embedding (general
   /// K(d, k), see oracle_embedding.hpp) instead of the paper's K(2,3)

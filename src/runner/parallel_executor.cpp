@@ -1,7 +1,6 @@
 #include "runner/parallel_executor.hpp"
 
 #include <chrono>
-#include <future>
 
 #include "runner/thread_pool.hpp"
 
@@ -43,33 +42,9 @@ harness::AggregateMetrics ParallelExecutor::run_repeated(
 std::vector<harness::RunMetrics> ParallelExecutor::run_batch(
     const std::vector<BatchJob>& batch) {
   const auto t0 = Clock::now();
-  std::vector<harness::JobRecord> out(batch.size());
-  auto run_job = [&](std::size_t i) {
-    const auto job_t0 = Clock::now();
-    harness::JobRecord& r = out[i];
-    r.system = batch[i].system;
-    r.rep = static_cast<int>(i);
-    r.seed = batch[i].scenario.seed;
-    r.metrics = harness::run_once(batch[i].system, batch[i].scenario);
-    r.wall_ms = seconds_since(job_t0) * 1000.0;
-  };
-  if (jobs_ <= 1 || batch.size() <= 1) {
-    for (std::size_t i = 0; i < batch.size(); ++i) run_job(i);
-  } else {
-    ThreadPool pool(jobs_);
-    std::vector<std::future<void>> futures;
-    futures.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      futures.push_back(pool.submit([&run_job, i] { run_job(i); }));
-    }
-    for (std::future<void>& f : futures) f.get();
-  }
-  std::vector<harness::RunMetrics> metrics;
-  metrics.reserve(out.size());
-  for (harness::JobRecord& r : out) {
-    metrics.push_back(r.metrics);
-    records_.push_back(std::move(r));
-  }
+  auto metrics = harness::run_batch(
+      batch, jobs_,
+      [this](const harness::JobRecord& r) { records_.push_back(r); });
   wall_s_ += seconds_since(t0);
   return metrics;
 }

@@ -40,19 +40,13 @@ class ParallelExecutor {
   [[nodiscard]] harness::RunMetrics run_once(
       harness::SystemKind kind, const harness::Scenario& scenario);
 
-  /// One heterogeneous unit of run_batch: any (system, scenario) pair.
-  struct BatchJob {
-    harness::SystemKind system = harness::SystemKind::kRefer;
-    harness::Scenario scenario;
-  };
+  using BatchJob = harness::BatchJob;
 
-  /// Executes every job -- on the thread pool for jobs() > 1 -- and
-  /// returns the metrics in input order; one JobRecord per job is
-  /// appended to records() in the same order regardless of schedule.
-  /// Used by the scenario fuzzer (src/verify), whose cases vary every
-  /// scenario knob and so do not fit the homogeneous sweep shapes.  A
-  /// job's Scenario::observer runs on the worker executing that job:
-  /// each job must carry its own observer instance.
+  /// Parallel counterpart of harness::run_batch: metrics in input order,
+  /// one JobRecord per job appended to records() in the same order
+  /// regardless of schedule.  Used by the scenario fuzzer (src/verify),
+  /// whose cases vary every scenario knob and so do not fit the
+  /// homogeneous sweep shapes.
   [[nodiscard]] std::vector<harness::RunMetrics> run_batch(
       const std::vector<BatchJob>& batch);
 

@@ -32,15 +32,23 @@ std::vector<const Event*> EventField::active_at(double t) const {
   return out;
 }
 
+namespace {
+
+constexpr double kCertainRadiusM = 30;
+constexpr double kMaxRadiusM = 80;
+constexpr double kDecay = 3.0;  ///< steepness of the probability falloff
+
+}  // namespace
+
 double DetectionModel::probability(Point sensor, const Event& event) const {
   const double d = distance(sensor, event.position);
-  const double certain = config_.certain_radius_m * event.intensity;
-  const double max = config_.max_radius_m * event.intensity;
+  const double certain = kCertainRadiusM * event.intensity;
+  const double max = kMaxRadiusM * event.intensity;
   if (d <= certain) return 1.0;
   if (d >= max) return 0.0;
   // Exponential falloff from 1 at `certain` to ~0 at `max`.
   const double frac = (d - certain) / (max - certain);
-  return std::exp(-config_.decay * frac) * (1.0 - frac);
+  return std::exp(-kDecay * frac) * (1.0 - frac);
 }
 
 bool DetectionModel::detects(Rng& rng, Point sensor,

@@ -56,30 +56,16 @@ class EventField {
 };
 
 /// Probabilistic disc sensing: detection is certain within
-/// certain_radius * intensity, impossible beyond max_radius * intensity,
-/// and decays exponentially in between.
+/// 30 m * intensity, impossible beyond 80 m * intensity, and decays
+/// exponentially in between.
 class DetectionModel {
  public:
-  struct Config {
-    double certain_radius_m = 30;
-    double max_radius_m = 80;
-    double decay = 3.0;  ///< steepness of the probability falloff
-  };
-
-  DetectionModel() = default;
-  explicit DetectionModel(Config config) : config_(config) {}
-
   /// Probability that a sensor at `sensor` detects `event` per sample.
   [[nodiscard]] double probability(Point sensor, const Event& event) const;
 
   /// One detection sample.
   [[nodiscard]] bool detects(Rng& rng, Point sensor,
                              const Event& event) const;
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
- private:
-  Config config_{};
 };
 
 /// Monte-Carlo coverage: the fraction of `region` within certain-detection

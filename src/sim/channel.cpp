@@ -7,6 +7,14 @@
 
 namespace refer::sim {
 
+namespace {
+
+constexpr double kBandwidthBps = 2e6;     ///< IEEE 802.11 DSSS basic rate
+constexpr double kMacOverheadS = 0.6e-3;  ///< DIFS + preamble + ACK exchange
+constexpr double kAckTimeoutS = 5e-3;     ///< extra delay before reporting loss
+
+}  // namespace
+
 Channel::Channel(Simulator& sim, World& world, EnergyTracker& energy, Rng rng,
                  ChannelConfig config)
     : sim_(&sim),
@@ -20,8 +28,7 @@ Channel::Channel(Simulator& sim, World& world, EnergyTracker& energy, Rng rng,
                          : nullptr) {}
 
 double Channel::frame_time(std::size_t bytes) const noexcept {
-  return config_.mac_overhead_s +
-         static_cast<double>(bytes) * 8.0 / config_.bandwidth_bps;
+  return kMacOverheadS + static_cast<double>(bytes) * 8.0 / kBandwidthBps;
 }
 
 Time Channel::reserve_tx_slot(NodeId node, double duration) {
@@ -74,7 +81,7 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
       tracer->emit(frame_record(sim_->now(), TraceEvent::kUnicastFailed,
                                 from, to, 0, bucket));
     }
-    if (done) sim_->schedule_in(config_.ack_timeout_s, [done] { done(false); });
+    if (done) sim_->schedule_in(kAckTimeoutS, [done] { done(false); });
     return;
   }
   const double airtime =
@@ -102,7 +109,7 @@ void Channel::unicast(NodeId from, NodeId to, std::size_t bytes,
     } else {
       ++stats_.unicasts_failed;
       if (done) {
-        sim_->schedule_in(config_.ack_timeout_s, [done] { done(false); });
+        sim_->schedule_in(kAckTimeoutS, [done] { done(false); });
       }
     }
   });

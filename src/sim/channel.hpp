@@ -44,10 +44,7 @@ enum class MacMode {
 };
 
 struct ChannelConfig {
-  double bandwidth_bps = 2e6;        ///< IEEE 802.11 DSSS basic rate
-  double mac_overhead_s = 0.6e-3;    ///< DIFS + preamble + ACK exchange
   double max_jitter_s = 1.2e-3;      ///< contention backoff jitter
-  double ack_timeout_s = 5e-3;       ///< extra delay before reporting loss
   double loss_probability = 0.0;     ///< random per-frame loss (fault inj.)
   MacMode mac = MacMode::kCsma;
 };

@@ -15,12 +15,12 @@ void EnergyTracker::charge(std::size_t node, EnergyBucket bucket,
 
 void EnergyTracker::charge_tx(std::size_t node, EnergyBucket bucket) {
   ++tx_packets_;
-  charge(node, bucket, config_.tx_joules_per_packet);
+  charge(node, bucket, kTxJoulesPerPacket);
 }
 
 void EnergyTracker::charge_rx(std::size_t node, EnergyBucket bucket) {
   ++rx_packets_;
-  charge(node, bucket, config_.rx_joules_per_packet);
+  charge(node, bucket, kRxJoulesPerPacket);
 }
 
 void EnergyTracker::set_initial_battery(double initial) {

@@ -20,17 +20,13 @@ enum class EnergyBucket {
 };
 inline constexpr int kEnergyBucketCount = 3;
 
-/// Energy model constants and per-node accumulators.
+/// Joules one transmitted / received packet costs (paper SIV).
+inline constexpr double kTxJoulesPerPacket = 2.0;
+inline constexpr double kRxJoulesPerPacket = 0.75;
+
+/// Per-node energy accumulators.
 class EnergyTracker {
  public:
-  struct Config {
-    double tx_joules_per_packet = 2.0;
-    double rx_joules_per_packet = 0.75;
-  };
-
-  EnergyTracker() = default;
-  explicit EnergyTracker(Config config) : config_(config) {}
-
   /// Registers nodes [0, n).
   void resize(std::size_t n);
 
@@ -57,8 +53,9 @@ class EnergyTracker {
 
   /// Number of charge_tx / charge_rx calls so far.  The invariant engine
   /// (src/verify) re-derives the bucket drain from these counts -- every
-  /// joule must be explained by tx_packets * tx_j + rx_packets * rx_j,
-  /// exactly (both sides are multiples of 0.25 J, so no rounding).
+  /// joule must be explained by tx_packets * kTxJoulesPerPacket +
+  /// rx_packets * kRxJoulesPerPacket, exactly (both sides are multiples
+  /// of 0.25 J, so no rounding).
   [[nodiscard]] std::uint64_t tx_packets() const noexcept {
     return tx_packets_;
   }
@@ -66,12 +63,9 @@ class EnergyTracker {
     return rx_packets_;
   }
 
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
  private:
   void charge(std::size_t node, EnergyBucket bucket, double joules);
 
-  Config config_{};
   double initial_battery_ = 1e9;
   std::vector<double> spent_;                       // per node
   double bucket_totals_[kEnergyBucketCount] = {0, 0, 0};

@@ -6,9 +6,9 @@
 //
 // The scheduling core is allocation-free at steady state (see
 // docs/ARCHITECTURE.md, "Event engine"):
-//   - Captures are stored in an EventClosure -- inline up to 64 bytes
-//     (covers every lambda the codebase schedules), oversized captures
-//     through a free-list ClosurePool owned by this simulator.
+//   - Captures are stored inline in an EventClosure, up to 64 bytes
+//     (covers every lambda the codebase schedules); a larger capture
+//     does not compile.
 //   - Events sit in one binary heap (std::push_heap / pop_heap over a
 //     vector, O(log n) per operation) that pops them in strict
 //     (time, seq) order; the vector keeps its capacity, so steady-state
@@ -99,7 +99,7 @@ class Simulator {
   /// profile is on.
   template <typename F>
   void schedule_tagged(Time at, const char* tag, F&& fn) {
-    schedule_event(at, tag, EventClosure(pool_, std::forward<F>(fn)));
+    schedule_event(at, tag, EventClosure(std::forward<F>(fn)));
   }
 
   /// Schedules `fn` to run `delay` seconds from now.
@@ -137,11 +137,9 @@ class Simulator {
     return peak_pending_;
   }
 
-  /// Closure storage counters: inline vs. pooled captures, pool block
-  /// traffic.  `pooled_closures == 0` is the capture-audit invariant the
-  /// event-engine tests pin for every workload in the repo.
-  [[nodiscard]] const ClosurePool::Stats& closure_stats() const noexcept {
-    return pool_.stats();
+  /// Number of events scheduled so far (the insertion-sequence counter).
+  [[nodiscard]] std::uint64_t events_scheduled() const noexcept {
+    return next_seq_;
   }
 
   /// The run's instrumentation context.  Every executed event charges
@@ -169,9 +167,7 @@ class Simulator {
   /// path.
   StatsRegistry* profile_registry_ = nullptr;
   std::vector<std::pair<const char*, Histogram*>> profile_cache_;
-  ClosurePool pool_;
-  /// Binary heap keyed on (at, seq); heap_.front() runs next.  Declared
-  /// after pool_: pending closures hand their blocks back on destruction.
+  /// Binary heap keyed on (at, seq); heap_.front() runs next.
   std::vector<Event> heap_;
 };
 

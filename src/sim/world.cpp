@@ -76,19 +76,6 @@ bool World::can_reach(NodeId from, NodeId to) {
   return within_range(position(from), position(to), range(from));
 }
 
-void World::reachable_from(NodeId from, std::vector<NodeId>& out,
-                           double range_override) {
-  out.clear();
-  visit_reachable(
-      from, [&out](NodeId i) { out.push_back(i); }, range_override);
-}
-
-std::vector<NodeId> World::reachable_from(NodeId from, double range_override) {
-  std::vector<NodeId> out;
-  reachable_from(from, out, range_override);
-  return out;
-}
-
 std::vector<NodeId> World::all_of(NodeKind k) const {
   std::vector<NodeId> out;
   for (NodeId i = 0; static_cast<std::size_t>(i) < nodes_.size(); ++i) {

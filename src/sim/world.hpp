@@ -165,14 +165,6 @@ class World {
     }
   }
 
-  /// reachable_from into a caller-owned buffer (cleared first).
-  void reachable_from(NodeId from, std::vector<NodeId>& out,
-                      double range_override = 0);
-
-  /// Allocating convenience form of the above.
-  [[nodiscard]] std::vector<NodeId> reachable_from(NodeId from,
-                                                   double range_override = 0);
-
   /// All node ids of one kind.
   [[nodiscard]] std::vector<NodeId> all_of(NodeKind kind) const;
 

@@ -159,13 +159,12 @@ void InvariantChecker::check_app_record(const harness::RunContext& ctx,
 
 void InvariantChecker::check_energy(const harness::RunContext& ctx) {
   const sim::EnergyTracker& energy = *ctx.energy;
-  const sim::EnergyTracker::Config& cfg = energy.config();
   // Every charge is a multiple of 0.25 J, so all the sums below are
   // exactly representable doubles (up to ~2^52): the identities hold
   // with == and any difference is a real accounting bug, not rounding.
   const double expected =
-      static_cast<double>(energy.tx_packets()) * cfg.tx_joules_per_packet +
-      static_cast<double>(energy.rx_packets()) * cfg.rx_joules_per_packet;
+      static_cast<double>(energy.tx_packets()) * sim::kTxJoulesPerPacket +
+      static_cast<double>(energy.rx_packets()) * sim::kRxJoulesPerPacket;
   if (energy.grand_total() != expected) {
     add("energy.conservation",
         format("buckets hold %.6f J but %" PRIu64 " tx + %" PRIu64

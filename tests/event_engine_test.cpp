@@ -3,10 +3,10 @@
 // contract.
 //
 // Three layers:
-//   - Capture audit: replicas of every lambda shape the codebase
-//     schedules, pinned (at compile time) under EventClosure's inline
-//     buffer.  Growing a capture past 64 bytes fails here first, not as
-//     a silent perf cliff in the pool.
+//   - Closure storage: every capture lives in EventClosure's inline
+//     buffer, and one over 64 bytes cannot construct an EventClosure (a
+//     compile-time check; every schedule call in the codebase is checked
+//     the same way when it compiles).
 //   - Kernel semantics: FIFO order for equal timestamps, inclusive
 //     run_until, and zero steady-state heap allocations -- counted by a
 //     global operator new hook.
@@ -19,11 +19,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <functional>
-#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,112 +65,37 @@ std::uint64_t allocations_during(Body&& body) {
 }
 
 // ---------------------------------------------------------------------
-// Capture audit: one replica per scheduled-lambda shape in the codebase.
-// The originals live in channel.cpp, net/flooding.cpp, refer/system.cpp,
-// refer/embedding.cpp, harness/experiment.cpp, baselines/ and dht/.
-// ---------------------------------------------------------------------
-
-TEST(CaptureAudit, EveryScheduledCaptureShapeStaysInline) {
-  void* self = nullptr;
-  int from = 1, to = 2, bucket = 0;
-  bool lost = false;
-  std::function<void()> done;          // 32 bytes on libstdc++
-  std::shared_ptr<int> state;          // 16 bytes
-  double at = 0;
-
-  // Channel::unicast delivery -- the largest capture in the repo.
-  auto unicast = [self, from, to, bucket, lost, done] {
-    (void)self; (void)from; (void)to; (void)bucket; (void)lost; (void)done;
-  };
-  static_assert(EventClosure::fits_inline<decltype(unicast)>());
-  EXPECT_LE(sizeof(unicast), EventClosure::kInlineSize);
-
-  // Channel::broadcast fan-out (per-receiver delivery).
-  auto broadcast = [self, from, to, bucket, done] {
-    (void)self; (void)from; (void)to; (void)bucket; (void)done;
-  };
-  static_assert(EventClosure::fits_inline<decltype(broadcast)>());
-
-  // flooding.cpp round closures: shared round state + completion.
-  auto flood = [state, done] { (void)state; (void)done; };
-  static_assert(EventClosure::fits_inline<decltype(flood)>());
-
-  // refer/system.cpp maintenance: this + flag + completion.
-  auto maintenance = [self, lost, done] { (void)self; (void)lost; (void)done; };
-  static_assert(EventClosure::fits_inline<decltype(maintenance)>());
-
-  // ddear baseline: this + member id + shared message.
-  auto ddear = [self, from, state] { (void)self; (void)from; (void)state; };
-  static_assert(EventClosure::fits_inline<decltype(ddear)>());
-
-  // harness/experiment.cpp traffic ticks: this (+ source, + time).
-  auto tick = [self, from, at] { (void)self; (void)from; (void)at; };
-  static_assert(EventClosure::fits_inline<decltype(tick)>());
-
-  // The compatibility path: a whole std::function passed to schedule_at
-  // is itself just one more 32-byte inline capture.
-  static_assert(EventClosure::fits_inline<std::function<void()>>());
-}
-
-// ---------------------------------------------------------------------
-// Closure storage and pool behaviour.
+// Closure storage.
 // ---------------------------------------------------------------------
 
 struct BigCapture {
-  unsigned char blob[96];  // > kInlineSize -> pooled (128-byte class)
+  unsigned char blob[96];  // > kInlineSize
   std::uint64_t* sink;
   void operator()() const { *sink += blob[0]; }
 };
 static_assert(!EventClosure::fits_inline<BigCapture>());
+static_assert(!std::is_constructible_v<EventClosure, BigCapture>,
+              "an oversized capture must not compile");
 
-TEST(EventClosure, InlineAndPooledStorageInvokeAndCount) {
-  sim::ClosurePool pool;
+TEST(EventClosure, InlineStorageInvokesAndMoves) {
   std::uint64_t hits = 0;
 
-  EventClosure small(pool, [&hits] { ++hits; });
-  EXPECT_TRUE(small.is_inline());
-  small();
+  EventClosure closure([&hits] { ++hits; });
+  closure();
   EXPECT_EQ(hits, 1u);
 
-  BigCapture big{};
-  big.blob[0] = 1;
-  big.sink = &hits;
-  EventClosure pooled(pool, big);
-  EXPECT_FALSE(pooled.is_inline());
-  pooled();
+  // Move keeps the closure callable and the source disengaged.
+  EventClosure moved(std::move(closure));
+  EXPECT_FALSE(static_cast<bool>(closure));
+  moved();
   EXPECT_EQ(hits, 2u);
 
-  // Move keeps the closure callable and the source disengaged.
-  EventClosure moved(std::move(pooled));
-  EXPECT_FALSE(static_cast<bool>(pooled));
-  moved();
+  EventClosure assigned;
+  EXPECT_FALSE(static_cast<bool>(assigned));
+  assigned = std::move(moved);
+  EXPECT_FALSE(static_cast<bool>(moved));
+  assigned();
   EXPECT_EQ(hits, 3u);
-
-  EXPECT_EQ(pool.stats().inline_closures, 1u);
-  EXPECT_EQ(pool.stats().pooled_closures, 1u);
-  EXPECT_EQ(pool.stats().blocks_allocated, 1u);
-}
-
-TEST(EventClosure, PoolRecyclesBlocksOfTheSameClass) {
-  sim::ClosurePool pool;
-  std::uint64_t sink = 0;
-  BigCapture big{};
-  big.sink = &sink;
-
-  { EventClosure c(pool, big); c(); }  // allocates the first 128 B block
-  EXPECT_EQ(pool.stats().blocks_allocated, 1u);
-  EXPECT_EQ(pool.stats().blocks_recycled, 0u);
-
-  const std::uint64_t allocs = allocations_during([&] {
-    for (int i = 0; i < 64; ++i) {
-      EventClosure c(pool, big);
-      c();
-    }
-  });
-  EXPECT_EQ(allocs, 0u) << "recycled blocks must not touch the heap";
-  EXPECT_EQ(pool.stats().blocks_allocated, 1u);
-  EXPECT_EQ(pool.stats().blocks_recycled, 64u);
-  EXPECT_EQ(pool.stats().pooled_closures, 65u);
 }
 
 // ---------------------------------------------------------------------
@@ -257,8 +181,8 @@ TEST_P(EventEngineTest, SteadyStateSchedulingIsAllocationFree) {
     simulator.schedule_in(seeder.uniform(0, 2.0),
                           HoldTimer{&simulator, seeder.split(), 1.0});
   }
-  // Warm up: the heap's capacity and the pool classes reach their
-  // steady state before the measured window.
+  // Warm up: the heap's capacity reaches its steady state before the
+  // measured window.
   for (int i = 0; i < 100000; ++i) simulator.step();
 
   const std::uint64_t allocs = allocations_during([&] {
@@ -266,30 +190,6 @@ TEST_P(EventEngineTest, SteadyStateSchedulingIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u)
       << "schedule_tagged + step must not allocate at steady state";
-  EXPECT_EQ(simulator.closure_stats().pooled_closures, 0u)
-      << "the hold timer capture must stay inline";
-}
-
-TEST_P(EventEngineTest, OversizedCapturesAreAllocationFreeOnceWarm) {
-  Simulator simulator;
-  std::uint64_t sink = 0;
-  BigCapture big{};
-  big.sink = &sink;
-  // Warm one block per in-flight closure (here: one).
-  simulator.schedule_in(0.5, big);
-  simulator.run_until(1.0);
-  ASSERT_EQ(simulator.closure_stats().blocks_allocated, 1u);
-
-  const std::uint64_t allocs = allocations_during([&] {
-    for (int i = 0; i < 100; ++i) {
-      simulator.schedule_in(0.5, big);
-      simulator.step();
-    }
-  });
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(simulator.closure_stats().blocks_allocated, 1u);
-  EXPECT_EQ(simulator.closure_stats().blocks_recycled, 100u);
-  EXPECT_EQ(sink, 0u);  // blob[0] stays zero; the sink proves invocation
 }
 
 TEST_P(EventEngineTest, ProfilerHistogramHitPathDoesNotAllocate) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "harness/experiment.hpp"
+#include "sim/simulator.hpp"
 
 namespace refer::harness {
 namespace {
@@ -224,6 +225,41 @@ TEST(Harness, ObservabilitySnapshotCoversRouterChannelAndKernel) {
   for (std::size_t i = 1; i < m.observability.size(); ++i) {
     EXPECT_LT(m.observability[i - 1].name, m.observability[i].name);
   }
+}
+
+/// Reads the kernel's scheduling counter when the run ends.
+class ScheduledEventsProbe : public RunObserver {
+ public:
+  void on_run_end(const RunContext& ctx, const RunMetrics& metrics) override {
+    (void)metrics;
+    scheduled = ctx.sim->events_scheduled();
+  }
+  std::uint64_t scheduled = 0;
+};
+
+TEST(Harness, ClosureCountersKeepTheirPinnedValues) {
+  // Every event closure is stored inline, so the exported closure
+  // counters are fixed by construction: sim.closure.inline counts every
+  // scheduled event and the two pool counters read 0.  The perfbench
+  // reference digests cover all three.
+  Scenario sc = quick_scenario();
+  sc.measure_s = 10;
+  ScheduledEventsProbe probe;
+  sc.observer = &probe;
+  const RunMetrics m = run_once(SystemKind::kRefer, sc);
+  ASSERT_TRUE(m.build_ok);
+  auto count = [&](const std::string& name) -> std::uint64_t {
+    for (const StatsRegistry::Entry& e : m.observability) {
+      if (e.name == name) return e.count;
+    }
+    ADD_FAILURE() << name << " missing from the snapshot";
+    return 0;
+  };
+  EXPECT_GT(probe.scheduled, 0u);
+  EXPECT_EQ(count("sim.closure.inline"), probe.scheduled);
+  EXPECT_GE(probe.scheduled, count("sim.events_executed"));
+  EXPECT_EQ(count("sim.closure.pooled"), 0u);
+  EXPECT_EQ(count("sim.closure.pool_blocks"), 0u);
 }
 
 TEST(Harness, ProfileAttachesKernelHistograms) {

@@ -122,10 +122,10 @@ TEST(NeighborCacheProperty, CachedMatchesUncachedOnRandomMobileWorlds) {
             rw.rng.chance(0.3) ? rw.rng.uniform(30, 400) : 0;
 
         const std::vector<NodeId> cached =
-            world.reachable_from(from, range_override);
+            test::reachable_from(world, from, range_override);
         // Same (from, range) again within the same epoch: a guaranteed
         // row hit, and it must reproduce the just-built row exactly.
-        ASSERT_EQ(cached, world.reachable_from(from, range_override))
+        ASSERT_EQ(cached, test::reachable_from(world, from, range_override))
             << "seed=" << seed << " t=" << t << " from=" << from
             << " override=" << range_override;
         // The oracle reads positions only, so rows (and the index) are
@@ -152,7 +152,7 @@ TEST(NeighborCacheProperty, KillsNeedNoInvalidationToStayExact) {
                      rng.split());
   }
   sim.run_until(2);
-  const std::vector<NodeId> before = world.reachable_from(1);
+  const std::vector<NodeId> before = test::reachable_from(world, 1);
   ASSERT_FALSE(before.empty());
   const NodeId victim = before.front();
   const std::uint64_t inv_before =
@@ -162,13 +162,13 @@ TEST(NeighborCacheProperty, KillsNeedNoInvalidationToStayExact) {
   // dead nodes stay binned and are filtered by the exact pass, so no
   // epoch bump is needed or expected.
   world.set_alive(victim, false);
-  const std::vector<NodeId> after = world.reachable_from(1);
+  const std::vector<NodeId> after = test::reachable_from(world, 1);
   EXPECT_EQ(world.neighbor_cache_stats().invalidations, inv_before);
   EXPECT_EQ(after.size(), before.size() - 1);
   for (const NodeId id : after) EXPECT_NE(id, victim);
 
   world.set_alive(victim, true);
-  EXPECT_EQ(world.reachable_from(1), before);
+  EXPECT_EQ(test::reachable_from(world, 1), before);
 }
 
 TEST(NeighborCacheProperty, ReentrantQueriesStayExact) {
@@ -194,7 +194,7 @@ TEST(NeighborCacheProperty, ReentrantQueriesStayExact) {
               outer.push_back(j);
               const double inner_range =
                   rw.rng.chance(0.5) ? 0 : rw.rng.uniform(30, 400);
-              ASSERT_EQ(world.reachable_from(j, inner_range),
+              ASSERT_EQ(test::reachable_from(world, j, inner_range),
                         test::reachable(world, j, inner_range))
                   << "seed=" << seed << " t=" << t << " inner=" << j;
               ++nested;
@@ -232,7 +232,7 @@ TEST(NeighborCacheProperty, StaticLatticeAtExactRangeStaysExact) {
         for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
              ++from) {
           for (const double range_override : {0.0, 50.0}) {
-            ASSERT_EQ(world.reachable_from(from, range_override),
+            ASSERT_EQ(test::reachable_from(world, from, range_override),
                       test::reachable(world, from, range_override))
                 << "mobile=" << with_mobile << " t=" << t
                 << " from=" << from << " override=" << range_override;
@@ -264,7 +264,7 @@ class OracleProbe : public harness::RunObserver {
       ++probes;
       for (NodeId i = 0; static_cast<std::size_t>(i) < world_->size(); ++i) {
         if (!mismatch.empty()) break;
-        if (world_->reachable_from(i) != test::reachable(*world_, i) ||
+        if (test::reachable_from(*world_, i) != test::reachable(*world_, i) ||
             world_->closest_actuator(i) != test::closest_actuator(*world_, i)) {
           mismatch = "node " + std::to_string(i) + " at t=" +
                      std::to_string(sim_->now());
@@ -310,31 +310,31 @@ TEST(NeighborCacheCounters, HitsRebuildsAndInvalidationsTrackEpochs) {
   for (int i = 0; i < 40; ++i) {
     world.add_static_sensor({12.5 * i, 250.0}, 120);
   }
-  (void)world.reachable_from(0);  // forces the index build + first row
+  (void)test::reachable_from(world, 0);  // forces the index build + first row
   const auto& stats = world.neighbor_cache_stats();
   EXPECT_EQ(stats.invalidations, 1u);  // the build's own epoch bump
   EXPECT_EQ(stats.rebuilds, 1u);
   EXPECT_EQ(stats.hits, 0u);
 
-  (void)world.reachable_from(0);  // same node, same range class: a hit
-  (void)world.reachable_from(0);
+  (void)test::reachable_from(world, 0);  // same node, same range class: a hit
+  (void)test::reachable_from(world, 0);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.rebuilds, 1u);
 
-  (void)world.reachable_from(7);  // new node: its row is built once
-  (void)world.reachable_from(7);
+  (void)test::reachable_from(world, 7);  // new node: its row is built once
+  (void)test::reachable_from(world, 7);
   EXPECT_EQ(stats.rebuilds, 2u);
   EXPECT_EQ(stats.hits, 3u);
 
   // A distinct range class gets its own row even for a seen node.
-  (void)world.reachable_from(0, /*range_override=*/200);
+  (void)test::reachable_from(world, 0, /*range_override=*/200);
   EXPECT_EQ(stats.rebuilds, 3u);
   EXPECT_EQ(stats.invalidations, 1u);  // still no re-bins
 
   // Adding a node dirties the index: full rebuild, fresh epoch, every
   // row is rebuilt on next use and the new node shows up.
   const NodeId late = world.add_static_sensor({0.0, 255.0}, 120);
-  const std::vector<NodeId> row0 = world.reachable_from(0);
+  const std::vector<NodeId> row0 = test::reachable_from(world, 0);
   EXPECT_EQ(stats.invalidations, 2u);
   EXPECT_EQ(stats.rebuilds, 4u);
   EXPECT_NE(std::find(row0.begin(), row0.end(), late), row0.end());
@@ -348,14 +348,14 @@ TEST(NeighborCacheCounters, MobilityRebinsInvalidate) {
     world.add_sensor({rng.uniform(0, 400), rng.uniform(0, 400)}, 100, 1, 3,
                      rng.split());
   }
-  (void)world.reachable_from(0);
-  (void)world.reachable_from(0);
+  (void)test::reachable_from(world, 0);
+  (void)test::reachable_from(world, 0);
   const std::uint64_t inv0 = world.neighbor_cache_stats().invalidations;
   // Far past every slack deadline (slack/speed <= 5 m / 1 mps): the next
   // query's revalidate re-bins movers and must expire cached rows, so
   // the row is built again.
   sim.run_until(30);
-  (void)world.reachable_from(0);
+  (void)test::reachable_from(world, 0);
   EXPECT_GT(world.neighbor_cache_stats().invalidations, inv0);
   EXPECT_EQ(world.neighbor_cache_stats().rebuilds, 2u);
 }
@@ -408,9 +408,9 @@ TEST(NeighborCacheProperty, EveryQueryRadiusGetsCachedRows) {
          from += 5) {
       if (!world.alive(from)) continue;  // a dead sender queries nothing
       for (const double r : radii) {
-        const std::vector<NodeId> first = world.reachable_from(from, r);
+        const std::vector<NodeId> first = test::reachable_from(world, from, r);
         const std::uint64_t hits = stats.hits;
-        const std::vector<NodeId> again = world.reachable_from(from, r);
+        const std::vector<NodeId> again = test::reachable_from(world, from, r);
         ASSERT_EQ(stats.hits, hits + 1)
             << "t=" << t << " from=" << from << " radius=" << r;
         ASSERT_EQ(again, first);
@@ -434,7 +434,7 @@ TEST(NeighborCacheCounters, StaticRowsHoldExactlyTheInRangeSet) {
   for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
        ++from) {
     if (!world.alive(from)) continue;  // a dead sender queries nothing
-    (void)world.reachable_from(from);
+    (void)test::reachable_from(world, from);
     expected += nodes_within(world, from, world.range(from));
     ++queries;
   }
@@ -456,7 +456,7 @@ TEST(NeighborCacheCounters, MobileRowsWidenBySensorScaleSlack) {
   for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
        ++from) {
     if (!world.alive(from)) continue;
-    (void)world.reachable_from(from);
+    (void)test::reachable_from(world, from);
     expected += nodes_within(world, from, world.range(from) + widen);
   }
   EXPECT_EQ(sim.now(), 0.0);
@@ -486,8 +486,8 @@ TEST(NeighborCacheSteadyState, HitPathDoesNotAllocate) {
   for (int step = 0; step < 100; ++step) {
     sim.run_until(t += 0.5);
     for (NodeId from = 0; from < n; ++from) {
-      world.reachable_from(from, out);
-      world.reachable_from(from, out, /*range_override=*/180);
+      test::reachable_from(world, from, out);
+      test::reachable_from(world, from, out, /*range_override=*/180);
     }
   }
   const std::uint64_t hits_before = world.neighbor_cache_stats().hits;
@@ -495,8 +495,8 @@ TEST(NeighborCacheSteadyState, HitPathDoesNotAllocate) {
   const std::uint64_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 50; ++rep) {
       for (NodeId from = 0; from < n; ++from) {
-        world.reachable_from(from, out);
-        world.reachable_from(from, out, /*range_override=*/180);
+        test::reachable_from(world, from, out);
+        test::reachable_from(world, from, out, /*range_override=*/180);
       }
     }
   });

@@ -1,5 +1,5 @@
 // Unit tests for the net module: flooding discovery, path collection,
-// announcements, BFS oracle, path forwarding, and that each of them frees
+// announcements, path forwarding, and that each of them frees
 // its state once the simulator drains.
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <unordered_map>
 
 #include "net/flooding.hpp"
 
@@ -187,32 +188,6 @@ TEST_F(NetTest, BroadcastRangeOverrideLimitsReceivers) {
                     [&](NodeId) { ++received; }, /*range_override=*/100);
   sim.run_all();
   EXPECT_EQ(received, 1) << "power control must shrink the footprint";
-}
-
-TEST_F(NetTest, BfsPathMatchesChain) {
-  const auto ids = make_chain(4);
-  const auto path = bfs_path(world, ids[0], ids[3]);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (std::vector<NodeId>{ids[0], ids[1], ids[2], ids[3]}));
-}
-
-TEST_F(NetTest, BfsPathHonoursExclusions) {
-  const auto s = world.add_static_sensor({0, 0}, 100);
-  const auto a = world.add_static_sensor({70, 50}, 100);
-  const auto b = world.add_static_sensor({70, -50}, 100);
-  const auto t = world.add_static_sensor({140, 0}, 100);
-  std::unordered_set<NodeId> exclude{a};
-  const auto path = bfs_path(world, s, t, &exclude);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (std::vector<NodeId>{s, b, t}));
-  exclude.insert(b);
-  EXPECT_FALSE(bfs_path(world, s, t, &exclude).has_value());
-}
-
-TEST_F(NetTest, BfsPathNoRoute) {
-  const auto a = world.add_static_sensor({0, 0}, 100);
-  const auto b = world.add_static_sensor({500, 500}, 100);
-  EXPECT_FALSE(bfs_path(world, a, b).has_value());
 }
 
 TEST_F(NetTest, SendAlongPathDeliversAndCharges) {

@@ -312,6 +312,56 @@ TEST(ParallelExecutor, RegularPolicyRunsAreBitIdenticalSerialVsParallel) {
   fs::remove_all(base);
 }
 
+TEST(ParallelExecutor, RunBatchMatchesSerial) {
+  // A heterogeneous batch -- every system, different scenarios -- gives
+  // the same metrics, field for field, on 1 and 3 workers, and records
+  // its jobs in input order.
+  const harness::SystemKind systems[] = {
+      harness::SystemKind::kRefer, harness::SystemKind::kDaTree,
+      harness::SystemKind::kDDear, harness::SystemKind::kKautzOverlay,
+      harness::SystemKind::kRefer};
+  std::vector<ParallelExecutor::BatchJob> batch;
+  for (std::size_t i = 0; i < std::size(systems); ++i) {
+    ParallelExecutor::BatchJob job;
+    job.system = systems[i];
+    job.scenario = small_scenario();
+    job.scenario.measure_s = 8;
+    job.scenario.seed = 100 + i;
+    job.scenario.faulty_nodes = static_cast<int>(i);
+    batch.push_back(job);
+  }
+  batch.back().scenario.routing_policy = harness::RoutingPolicy::kRegular;
+
+  ParallelExecutor serial(1);
+  ParallelExecutor parallel(3);
+  const auto a = serial.run_batch(batch);
+  const auto b = parallel.run_batch(batch);
+
+  // Every RunMetrics field, as the results document serialises it.
+  auto render = [](const harness::RunMetrics& m) {
+    harness::JobRecord record;
+    record.metrics = m;
+    ResultsWriter writer;
+    writer.add_records({record});
+    return writer.to_json();
+  };
+  ASSERT_EQ(a.size(), batch.size());
+  ASSERT_EQ(b.size(), batch.size());
+  ASSERT_EQ(serial.records().size(), batch.size());
+  ASSERT_EQ(parallel.records().size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_TRUE(a[i].build_ok) << i;
+    EXPECT_EQ(render(a[i]), render(b[i])) << "job " << i;
+    for (const ParallelExecutor* ex : {&serial, &parallel}) {
+      const harness::JobRecord& r = ex->records()[i];
+      EXPECT_EQ(r.system, batch[i].system);
+      EXPECT_EQ(r.rep, static_cast<int>(i));
+      EXPECT_EQ(r.seed, batch[i].scenario.seed);
+      EXPECT_EQ(render(r.metrics), render(a[i])) << "job " << i;
+    }
+  }
+}
+
 TEST(ParallelExecutor, RunOnceRecords) {
   ParallelExecutor ex(1);
   harness::Scenario sc = small_scenario();

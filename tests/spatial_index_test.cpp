@@ -77,7 +77,7 @@ TEST(SpatialIndexProperty, GridMatchesLinearScanOnRandomMobileWorlds) {
             rw.rng.chance(0.3) ? rw.rng.uniform(30, 400) : 0;
 
         const std::vector<NodeId> grid =
-            world.reachable_from(from, range_override);
+            test::reachable_from(world, from, range_override);
         const NodeId grid_act = world.closest_actuator(from);
         const std::vector<NodeId> linear =
             test::reachable(world, from, range_override);
@@ -103,14 +103,14 @@ TEST(SpatialIndexProperty, SurvivesLivenessFlipsAndLateNodeAdds) {
                      rng.split());
   }
   sim.run_until(5);
-  (void)world.reachable_from(0);  // force an index build
+  (void)test::reachable_from(world, 0);  // force an index build
   // Nodes added after the build must show up in subsequent queries.
   const NodeId late = world.add_static_sensor({310, 310}, 100);
   world.set_alive(3, false);
   sim.run_until(9);
   for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
        ++from) {
-    ASSERT_EQ(world.reachable_from(from), test::reachable(world, from))
+    ASSERT_EQ(test::reachable_from(world, from), test::reachable(world, from))
         << "from=" << from;
   }
   EXPECT_EQ(world.closest_actuator(late), 0);
@@ -133,7 +133,7 @@ TEST(SpatialIndexEdgeCases, NodesExactlyOnCellBoundariesMatchLinearScan) {
   }
   for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
        ++from) {
-    const auto grid = world.reachable_from(from);
+    const auto grid = test::reachable_from(world, from);
     ASSERT_EQ(grid, test::reachable(world, from)) << "from=" << from;
     ASSERT_EQ(world.closest_actuator(from),
               test::closest_actuator(world, from))
@@ -151,7 +151,7 @@ TEST(SpatialIndexEdgeCases, ExactRangeDistanceIsInRangeOnBothPaths) {
   const NodeId a = world.add_static_sensor({100, 100}, 100);
   const NodeId b = world.add_static_sensor({200, 100}, 100);  // d == range
   const NodeId c = world.add_static_sensor({201, 100}, 100);  // d > range
-  EXPECT_EQ(world.reachable_from(a), (std::vector<NodeId>{b}));
+  EXPECT_EQ(test::reachable_from(world, a), (std::vector<NodeId>{b}));
   EXPECT_EQ(test::reachable(world, a), (std::vector<NodeId>{b}));
   EXPECT_TRUE(world.can_reach(a, b));
   EXPECT_FALSE(world.can_reach(a, c));
@@ -166,13 +166,13 @@ TEST(SpatialIndexEdgeCases, ZeroRangeWorldFallsBackToLinearScan) {
   const NodeId a = world.add_static_sensor({10, 10}, 0);
   const NodeId b = world.add_static_sensor({10, 10}, 0);  // co-located
   world.add_static_sensor({20, 10}, 0);
-  EXPECT_EQ(world.reachable_from(a), (std::vector<NodeId>{b}));
+  EXPECT_EQ(test::reachable_from(world, a), (std::vector<NodeId>{b}));
   EXPECT_EQ(world.closest_actuator(a), -1);
   EXPECT_EQ(world.index_stats().rebuilds, 0u)
       << "a zero-range world must not build a grid";
   // A positive override on the same world still works (and, with every
   // binned range zero, still goes through the linear path).
-  EXPECT_EQ(world.reachable_from(a, 50.0).size(), 2u);
+  EXPECT_EQ(test::reachable_from(world, a, 50.0).size(), 2u);
 }
 
 TEST(SpatialIndexEdgeCases, ZeroRangeNodeAmongRangedNodesSeesOnlyCoLocated) {
@@ -182,11 +182,11 @@ TEST(SpatialIndexEdgeCases, ZeroRangeNodeAmongRangedNodesSeesOnlyCoLocated) {
   const NodeId twin = world.add_static_sensor({50, 50}, 80);
   world.add_static_sensor({60, 50}, 80);
   // Range 0 reaches exactly the co-located node, as in the linear scan.
-  EXPECT_EQ(world.reachable_from(mute), (std::vector<NodeId>{twin}));
+  EXPECT_EQ(test::reachable_from(world, mute), (std::vector<NodeId>{twin}));
   EXPECT_EQ(test::reachable(world, mute), (std::vector<NodeId>{twin}));
   // And the ranged nodes still see the zero-range node.
-  EXPECT_EQ(world.reachable_from(twin).size(), 2u);
-  EXPECT_EQ(world.reachable_from(twin), test::reachable(world, twin));
+  EXPECT_EQ(test::reachable_from(world, twin).size(), 2u);
+  EXPECT_EQ(test::reachable_from(world, twin), test::reachable(world, twin));
 }
 
 #ifndef NDEBUG

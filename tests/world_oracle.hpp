@@ -1,7 +1,9 @@
 // Brute-force reference for World's geometric queries: the O(n) scans
 // that the grid index and the neighbor cache must reproduce exactly --
-// same ids, same order, same ties.  Reads the world only through its
-// public per-node accessors, so it shares no code with the fast paths.
+// same ids, same order, same ties.  The references read the world only
+// through its public per-node accessors, so they share no code with the
+// fast paths; reachable_from collects the indexed path (visit_reachable)
+// into a vector for comparison against them.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,25 @@ inline std::vector<sim::NodeId> reachable(sim::World& world, sim::NodeId from,
     if (i == from || !world.alive(i)) continue;
     if (within_range(p, world.position(i), r)) out.push_back(i);
   }
+  return out;
+}
+
+/// The indexed path: World::visit_reachable's ids, in visit order, into
+/// `out` (cleared first).
+inline void reachable_from(sim::World& world, sim::NodeId from,
+                           std::vector<sim::NodeId>& out,
+                           double range_override = 0) {
+  out.clear();
+  world.visit_reachable(
+      from, [&out](sim::NodeId i) { out.push_back(i); }, range_override);
+}
+
+/// Allocating convenience form of the above.
+inline std::vector<sim::NodeId> reachable_from(sim::World& world,
+                                               sim::NodeId from,
+                                               double range_override = 0) {
+  std::vector<sim::NodeId> out;
+  reachable_from(world, from, out, range_override);
   return out;
 }
 
