@@ -34,10 +34,17 @@
 //   --quick         reps=1, measure=45 (CI smoke runs)
 //   --full          reps=5, measure=200 (closer to paper scale)
 //
-// Unknown flags and flags missing their value are rejected with exit
-// code 2 -- a typo must never silently run a different experiment.
+// Unknown flags, flags missing their value and out-of-range values
+// (--reps, --bytes < 1; --measure, --pps, --timeline <= 0 or not
+// finite; --jobs, --seed negative, fractional or too large) are rejected
+// with exit code 2 -- a typo must never silently run a different
+// experiment.
 #pragma once
 
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -67,7 +74,8 @@ struct BenchOptions {
 }
 
 /// Strict flag parser: exits with code 2 on an unknown flag, a flag
-/// missing its value, or a non-numeric value for a numeric flag.
+/// missing its value, or a non-numeric or out-of-range value for a
+/// numeric flag.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opt;
   opt.base.warmup_s = 10;
@@ -90,20 +98,48 @@ inline BenchOptions parse_options(int argc, char** argv) {
     }
     return v;
   };
+  // A count or a seed: a decimal integer in [lo, hi], read exactly
+  // (no fraction, exponent, sign or double round trip), so it is never
+  // cast from an out-of-range value.
+  auto integer_value = [&](int& i, std::uint64_t lo,
+                           std::uint64_t hi) -> std::uint64_t {
+    const std::string flag = argv[i];
+    (void)numeric_value(i);  // "not a number" comes first
+    const std::string raw = argv[i];
+    std::uint64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(raw.data(), raw.data() + raw.size(), v);
+    if (ec != std::errc() || end != raw.data() + raw.size() || v < lo ||
+        v > hi) {
+      usage_error(flag + ": expected an integer from " + std::to_string(lo) +
+                  " to " + std::to_string(hi) + ", got '" + raw + "'");
+    }
+    return v;
+  };
+  auto positive_value = [&](int& i) -> double {
+    const std::string flag = argv[i];
+    const double v = numeric_value(i);
+    if (!(v > 0) || !std::isfinite(v)) {
+      usage_error(flag + ": must be a positive number, got '" + argv[i] +
+                  "'");
+    }
+    return v;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--reps") {
-      opt.reps = static_cast<int>(numeric_value(i));
+      opt.reps = static_cast<int>(integer_value(i, 1, INT_MAX));
     } else if (arg == "--measure") {
-      opt.base.measure_s = numeric_value(i);
+      opt.base.measure_s = positive_value(i);
     } else if (arg == "--pps") {
-      opt.base.packets_per_second = numeric_value(i);
+      opt.base.packets_per_second = positive_value(i);
     } else if (arg == "--bytes") {
-      opt.base.packet_bytes = static_cast<std::size_t>(numeric_value(i));
+      opt.base.packet_bytes =
+          static_cast<std::size_t>(integer_value(i, 1, SIZE_MAX));
     } else if (arg == "--seed") {
-      opt.base.seed = static_cast<std::uint64_t>(numeric_value(i));
+      opt.base.seed = integer_value(i, 0, UINT64_MAX);
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<int>(numeric_value(i));
+      opt.jobs = static_cast<int>(integer_value(i, 0, INT_MAX));
     } else if (arg == "--csv") {
       opt.csv_prefix = string_value(i);
     } else if (arg == "--json") {
@@ -113,10 +149,7 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (arg == "--profile") {
       opt.base.profile = true;
     } else if (arg == "--timeline") {
-      opt.base.timeline_bucket_s = numeric_value(i);
-      if (opt.base.timeline_bucket_s <= 0) {
-        usage_error("--timeline: bucket seconds must be positive");
-      }
+      opt.base.timeline_bucket_s = positive_value(i);
     } else if (arg == "--phase-profile") {
       opt.base.phase_profile = true;
     } else if (arg == "--routing-policy") {

@@ -1,6 +1,5 @@
 #include "refer/maintenance.hpp"
 
-#include <algorithm>
 #include <limits>
 
 namespace refer::core {
@@ -50,11 +49,19 @@ void MaintenanceProtocol::schedule_next() {
   });
 }
 
+const std::vector<NodeId>& MaintenanceProtocol::sensors() {
+  if (sensors_listed_at_ != world_->size()) {
+    sensors_ = world_->all_of(sim::NodeKind::kSensor);
+    sensors_listed_at_ = world_->size();
+  }
+  return sensors_;
+}
+
 void MaintenanceProtocol::probe_wait_nodes() {
   // Wait-state sensors wake up and probe their Kautz-node neighbours
   // (SIII-B4); the probe keeps their candidate status fresh.  Sleeping
   // nodes stay silent (that is where the energy saving comes from).
-  for (NodeId s : world_->all_of(sim::NodeKind::kSensor)) {
+  for (NodeId s : sensors()) {
     if (topology_->role(s) != Role::kWait || !world_->alive(s)) continue;
     channel_->broadcast(s, kControlBytes, EnergyBucket::kMaintenance,
                         nullptr);
@@ -62,19 +69,20 @@ void MaintenanceProtocol::probe_wait_nodes() {
   }
 }
 
-int MaintenanceProtocol::broken_arcs(const Cell& cell, const Label& label,
-                                     NodeId node, Point at) {
+void MaintenanceProtocol::collect_arc_holders(const Cell& cell,
+                                              const Label& label) {
   // The holders of the label's out-neighbours (shift a digit in at the
   // end) and in-neighbours (shift one in at the front) in K(d, k); each
   // distinct holder counts once, however many of those labels it holds.
+  // Dead holders keep no arc, so they are left out.
   arc_holders_.clear();
   auto add = [this, &cell](const Label& l) {
-    if (const auto n = cell.node_of(l)) {
-      if (std::find(arc_holders_.begin(), arc_holders_.end(), *n) ==
-          arc_holders_.end()) {
-        arc_holders_.push_back(*n);
-      }
+    const auto n = cell.node_of(l);
+    if (!n || !world_->alive(*n)) return;
+    for (const ArcHolder& h : arc_holders_) {
+      if (h.id == *n) return;
     }
+    arc_holders_.push_back(ArcHolder{*n, world_->position(*n)});
   };
   const int alphabet = topology_->degree() + 1;
   for (kautz::Digit a = 0; a < alphabet; ++a) {
@@ -83,15 +91,17 @@ int MaintenanceProtocol::broken_arcs(const Cell& cell, const Label& label,
   for (kautz::Digit b = 0; b < alphabet; ++b) {
     if (b != label.first()) add(label.shift_prepend(b));
   }
+}
+
+int MaintenanceProtocol::broken_arcs(NodeId node, Point at) const {
   // An arc is "broken" when its endpoints cannot talk directly at sensor
   // power (the router then needs the 1-relay detour).  The link margin
   // shrinks the threshold so links about to break (signal strength
   // fading, SIII-B4) already count.
   int broken = 0;
   const double reach = world_->range(node) * kLinkMargin;
-  for (NodeId n : arc_holders_) {
-    if (n == node || !world_->alive(n)) continue;
-    if (distance(at, world_->position(n)) > reach) ++broken;
+  for (const ArcHolder& h : arc_holders_) {
+    if (h.id != node && distance(at, h.at) > reach) ++broken;
   }
   return broken;
 }
@@ -103,7 +113,8 @@ bool MaintenanceProtocol::needs_replacement(const Cell& cell,
       kBatteryThresholdJ) {
     return true;
   }
-  return broken_arcs(cell, label, node, world_->position(node)) > 0;
+  collect_arc_holders(cell, label);
+  return broken_arcs(node, world_->position(node)) > 0;
 }
 
 void MaintenanceProtocol::sweep() {
@@ -131,18 +142,21 @@ void MaintenanceProtocol::replace(Cell& cell, const Label& label,
       !world_->alive(old_node) ||
       energy_->battery(static_cast<std::size_t>(old_node)) <
           kBatteryThresholdJ;
+  // Nothing moves or fails inside this call, so every candidate is
+  // scored against one holder set.
+  collect_arc_holders(cell, label);
   const int old_broken =
       world_->alive(old_node)
-          ? broken_arcs(cell, label, old_node, world_->position(old_node))
+          ? broken_arcs(old_node, world_->position(old_node))
           : std::numeric_limits<int>::max();
   NodeId best = -1;
   int best_broken = std::numeric_limits<int>::max();
   double best_battery = -1;
-  for (NodeId s : world_->all_of(sim::NodeKind::kSensor)) {
+  for (NodeId s : sensors()) {
     if (!world_->alive(s) || s == old_node) continue;
     const Role r = topology_->role(s);
     if (r != Role::kWait && r != Role::kSleep) continue;
-    const int broken = broken_arcs(cell, label, s, world_->position(s));
+    const int broken = broken_arcs(s, world_->position(s));
     const double battery = energy_->battery(static_cast<std::size_t>(s));
     if (broken < best_broken ||
         (broken == best_broken && battery > best_battery)) {

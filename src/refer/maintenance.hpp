@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "refer/topology.hpp"
@@ -46,10 +47,14 @@ class MaintenanceProtocol {
   /// True when the label's holder must be replaced.
   [[nodiscard]] bool needs_replacement(const Cell& cell, const Label& label,
                                        NodeId node);
-  /// Number of the label's Kautz arcs that a holder at `at` cannot keep
-  /// within link-margin range.
-  [[nodiscard]] int broken_arcs(const Cell& cell, const Label& label,
-                                NodeId node, Point at);
+  /// Fills arc_holders_ with the distinct alive holders of the label's
+  /// in/out Kautz neighbours and their positions.
+  void collect_arc_holders(const Cell& cell, const Label& label);
+  /// Number of arc_holders_ (other than `node` itself) that a holder of
+  /// the label at `at` cannot keep within link-margin range.
+  [[nodiscard]] int broken_arcs(NodeId node, Point at) const;
+  /// The world's sensors, re-listed only when nodes were added.
+  [[nodiscard]] const std::vector<NodeId>& sensors();
   void replace(Cell& cell, const Label& label, NodeId old_node);
 
   sim::Simulator* sim_;
@@ -58,10 +63,17 @@ class MaintenanceProtocol {
   sim::EnergyTracker* energy_;
   Topology* topology_;
   Rng rng_;
-  /// broken_arcs' distinct holders of the label's in/out Kautz
-  /// neighbours (at most 2d); refilled per call, so its capacity is
-  /// reused and sweeps do not allocate once warm.
-  std::vector<NodeId> arc_holders_;
+  /// collect_arc_holders' output (at most 2d entries); refilled per
+  /// label, so its capacity is reused and sweeps do not allocate once
+  /// warm.
+  struct ArcHolder {
+    NodeId id;
+    Point at;
+  };
+  std::vector<ArcHolder> arc_holders_;
+  /// sensors()' list and the world size it was taken at.
+  std::vector<NodeId> sensors_;
+  std::size_t sensors_listed_at_ = 0;
   Stats stats_;
   bool running_ = false;
   double last_probe_ = 0;

@@ -9,10 +9,16 @@
 //   - Captures are stored inline in an EventClosure, up to 64 bytes
 //     (covers every lambda the codebase schedules); a larger capture
 //     does not compile.
-//   - Events sit in one binary heap (std::push_heap / pop_heap over a
-//     vector, O(log n) per operation) that pops them in strict
-//     (time, seq) order; the vector keeps its capacity, so steady-state
-//     scheduling never allocates.
+//   - The order lives in one binary heap (std::push_heap / pop_heap over
+//     a vector, O(log n) per operation) of 24-byte (time, seq, slot)
+//     keys that pops them in strict (time, seq) order; `slot` never
+//     takes part in a comparison.  Each event's closure and tag sit in a
+//     slab at index `slot`, so a sift moves keys, and a closure moves
+//     only into its slot at scheduling and out of it at pop -- before it
+//     runs, because a running closure may schedule and grow the slab.
+//   - Freed slots go on a LIFO free list reserved to the slab's
+//     capacity; heap, slab and free list keep their capacity, so
+//     steady-state scheduling never allocates.
 //
 // Observability: the kernel always tracks the peak event-queue depth
 // (one compare per push) and carries the run's instrumentation context
@@ -65,16 +71,6 @@ struct Instruments {
   TelemetryRecorder* telemetry = nullptr;
   /// Kernel event profile into stats' "sim.event_us.<tag>" histograms.
   bool profile_events = false;
-};
-
-/// One scheduled closure.  Ordered by (at, seq); seq is the scheduling
-/// sequence number, which makes equal-time execution FIFO and runs
-/// bit-deterministic for a fixed seed.
-struct Event {
-  Time at = 0;
-  std::uint64_t seq = 0;
-  const char* tag = nullptr;
-  EventClosure fn;
 };
 
 /// Event-driven simulator.  Single-threaded; protocols schedule closures.
@@ -130,7 +126,7 @@ class Simulator {
   }
 
   /// Number of events still pending.
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return keys_.size(); }
 
   /// High-water mark of the event queue over the simulator's lifetime.
   [[nodiscard]] std::size_t peak_pending() const noexcept {
@@ -150,11 +146,20 @@ class Simulator {
   }
 
  private:
+  /// A pending event's place in the order: (at, seq) is the sort key,
+  /// `slot` its index in closures_/tags_ and never compared.
+  struct Key {
+    Time at;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct RunsLater;  // the heap comparator on (at, seq)
+
   void schedule_event(Time at, const char* tag, EventClosure fn);
-  void execute(Event& ev);
+  /// Pops the (at, seq)-minimum, frees its slot and runs it.
+  /// Precondition: pending().
+  void run_next();
   [[nodiscard]] Histogram* profile_histogram(const char* tag);
-  /// Removes and returns the (at, seq)-minimum.  Precondition: pending().
-  [[nodiscard]] Event pop_event();
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -167,8 +172,15 @@ class Simulator {
   /// path.
   StatsRegistry* profile_registry_ = nullptr;
   std::vector<std::pair<const char*, Histogram*>> profile_cache_;
-  /// Binary heap keyed on (at, seq); heap_.front() runs next.
-  std::vector<Event> heap_;
+  /// Binary heap on (at, seq); keys_.front() runs next.
+  std::vector<Key> keys_;
+  /// The slab: pending events' closures and tags by slot.  A free slot
+  /// holds an empty closure.
+  std::vector<EventClosure> closures_;
+  std::vector<const char*> tags_;
+  /// Free slots, reused last-freed first; reserved to closures_'s
+  /// capacity, so freeing a slot never allocates.
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace refer::sim

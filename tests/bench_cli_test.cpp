@@ -1,10 +1,12 @@
 // Tests for the strict referbench flag parser (bench/bench_common.hpp):
 // every accepted flag round-trips into BenchOptions, and any typo --
-// unknown flag, missing value, non-numeric value -- exits with code 2
-// instead of silently running a different experiment.  Plus the --csv
-// output path: a file that cannot be written fails the run.
+// unknown flag, missing value, non-numeric or out-of-range value --
+// exits with code 2 instead of silently running a different experiment.
+// Plus the --csv output path: a file that cannot be written fails the
+// run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -103,6 +105,104 @@ TEST(ParseOptionsDeathTest, TrailingGarbageInNumberExits2) {
   Argv a({"--measure", "60s"});
   EXPECT_EXIT(parse_options(a.argc(), a.argv()),
               ::testing::ExitedWithCode(2), "not a number: '60s'");
+}
+
+TEST(ParseOptions, IntegerFlagsAreReadExactly) {
+  // --jobs 0 means one worker per hardware thread; the largest seed
+  // is read without a double round trip.
+  Argv a({"--jobs", "0", "--seed", "18446744073709551615", "--reps", "1",
+          "--bytes", "1"});
+  const BenchOptions opt = parse_options(a.argc(), a.argv());
+  EXPECT_EQ(opt.jobs, 0);
+  EXPECT_EQ(opt.base.seed, UINT64_MAX);
+  EXPECT_EQ(opt.reps, 1);
+  EXPECT_EQ(opt.base.packet_bytes, 1u);
+}
+
+// Out-of-range values: each used to run (an all-zero table, or an
+// out-of-range double cast to an integer) and exit 0.
+TEST(ParseOptionsDeathTest, ZeroRepsExits2) {
+  Argv a({"--reps", "0"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--reps: expected an integer from 1 to 2147483647, got '0'");
+}
+
+TEST(ParseOptionsDeathTest, RepsBeyondIntExits2) {
+  Argv a({"--reps", "1e10"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2), "--reps: expected an integer");
+  Argv b({"--reps", "2147483648"});
+  EXPECT_EXIT(parse_options(b.argc(), b.argv()),
+              ::testing::ExitedWithCode(2), "--reps: expected an integer");
+}
+
+TEST(ParseOptionsDeathTest, FractionalRepsExits2) {
+  Argv a({"--reps", "2.5"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2), "--reps: expected an integer");
+}
+
+TEST(ParseOptionsDeathTest, NegativeMeasureExits2) {
+  Argv a({"--measure", "-5"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--measure: must be a positive number, got '-5'");
+}
+
+TEST(ParseOptionsDeathTest, NonFiniteMeasureExits2) {
+  Argv a({"--measure", "inf"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2), "--measure: must be a positive");
+  Argv b({"--measure", "nan"});
+  EXPECT_EXIT(parse_options(b.argc(), b.argv()),
+              ::testing::ExitedWithCode(2), "--measure: must be a positive");
+}
+
+TEST(ParseOptionsDeathTest, ZeroPpsExits2) {
+  Argv a({"--pps", "0"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--pps: must be a positive number, got '0'");
+}
+
+TEST(ParseOptionsDeathTest, ZeroBytesExits2) {
+  Argv a({"--bytes", "0"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--bytes: expected an integer from 1 to");
+}
+
+// Rejected while parsing, before any executor (or thread) exists.
+TEST(ParseOptionsDeathTest, NegativeJobsExits2) {
+  Argv a({"--jobs", "-3"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--jobs: expected an integer from 0 to 2147483647, got '-3'");
+}
+
+TEST(ParseOptionsDeathTest, NegativeSeedExits2) {
+  Argv a({"--seed", "-1"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--seed: expected an integer from 0 to 18446744073709551615, "
+              "got '-1'");
+}
+
+TEST(ParseOptionsDeathTest, SeedBeyondUint64Exits2) {
+  Argv a({"--seed", "18446744073709551616"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2), "--seed: expected an integer");
+}
+
+TEST(ParseOptionsDeathTest, NonPositiveTimelineExits2) {
+  Argv a({"--timeline", "0"});
+  EXPECT_EXIT(parse_options(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--timeline: must be a positive number, got '0'");
+  Argv b({"--timeline", "nan"});
+  EXPECT_EXIT(parse_options(b.argc(), b.argv()),
+              ::testing::ExitedWithCode(2), "--timeline: must be a positive");
 }
 
 TEST(EmitSeries, UnwritableCsvIsReportedAndFailsTheRun) {

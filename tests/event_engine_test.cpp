@@ -2,7 +2,7 @@
 // (sim/event_closure.hpp, sim/simulator.hpp) and the kernel's ordering
 // contract.
 //
-// Three layers:
+// Four layers:
 //   - Closure storage: every capture lives in EventClosure's inline
 //     buffer, and one over 64 bytes cannot construct an EventClosure (a
 //     compile-time check; every schedule call in the codebase is checked
@@ -14,6 +14,9 @@
 //     (time, seq) order, on seeded streams shaped like the harness's
 //     traffic grid, and end to end on a run whose sends land on that
 //     grid.
+//   - Closure slab: a closure that grows the slab while it runs is not
+//     run from its (relocated) slot, every capture is destroyed exactly
+//     once, and a reused slot never decides the order.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -23,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -302,6 +306,115 @@ TEST(KernelOrder, EverySendOnTheRoundGridRunsEndToEnd) {
       harness::run_once(harness::SystemKind::kKautzOverlay, sc);
   ASSERT_TRUE(m.build_ok);
   EXPECT_EQ(m.packets_sent, 4000u);
+}
+
+// ---------------------------------------------------------------------
+// Closure slab: the heap orders keys by (at, seq), each key names a slab
+// slot, and each pending closure sits in its slot until its pop moves it
+// out.
+// ---------------------------------------------------------------------
+
+/// A capture that notes being moved after its closure started running.
+/// The kernel must move a closure out of its slot before running it: a
+/// closure run in place is relocated under itself when the slab grows.
+struct MoveProbe {
+  bool* running;
+  bool* moved_while_running;
+
+  MoveProbe(bool* r, bool* m) : running(r), moved_while_running(m) {}
+  MoveProbe(MoveProbe&& other) noexcept
+      : running(other.running),
+        moved_while_running(other.moved_while_running) {
+    if (*running) *moved_while_running = true;
+  }
+  MoveProbe& operator=(MoveProbe&&) = delete;
+};
+
+TEST(KernelSlab, ClosureThatGrowsTheSlabRunsEveryEventOnceInOrder) {
+  Simulator simulator;
+  std::vector<std::pair<double, int>> ran;  // (at, scheduling index)
+  bool running = false;
+  bool moved_while_running = false;
+  simulator.schedule_at(
+      1.0, [&simulator, &ran,
+            probe = MoveProbe(&running, &moved_while_running)] {
+        *probe.running = true;
+        // The slab has one slot (this event's); 1000 more grow it about
+        // ten times while this closure runs.
+        for (int i = 0; i < 1000; ++i) {
+          const double at = 1.0 + (i % 7);
+          simulator.schedule_at(at,
+                                [&ran, at, i] { ran.emplace_back(at, i); });
+        }
+      });
+  simulator.run_all();
+
+  EXPECT_FALSE(moved_while_running)
+      << "the running closure was relocated under itself";
+  ASSERT_EQ(ran.size(), 1000u);
+  // Scheduling order is seq order, so (at, index) must strictly rise;
+  // with 1000 entries over 1000 indices each one ran exactly once.
+  for (std::size_t k = 1; k < ran.size(); ++k) {
+    ASSERT_LT(ran[k - 1], ran[k]) << "k=" << k;
+  }
+}
+
+/// Records how often each live (not moved-from) capture is destroyed.
+struct CountedCapture {
+  std::vector<int>* destroyed;
+  int id;
+  bool live = true;
+
+  CountedCapture(std::vector<int>* d, int i) : destroyed(d), id(i) {}
+  CountedCapture(CountedCapture&& other) noexcept
+      : destroyed(other.destroyed), id(other.id), live(other.live) {
+    other.live = false;
+  }
+  CountedCapture& operator=(CountedCapture&&) = delete;
+  ~CountedCapture() {
+    if (live) ++(*destroyed)[static_cast<std::size_t>(id)];
+  }
+};
+
+TEST(KernelSlab, EveryCaptureIsDestroyedExactlyOnce) {
+  // 64 events at t = 0..63; each schedules two more at now + 100, which
+  // are still pending when the simulator goes away.
+  std::vector<int> destroyed(64 * 3, 0);
+  {
+    Simulator simulator;
+    for (int i = 0; i < 64; ++i) {
+      simulator.schedule_at(
+          i, [&simulator, &destroyed, c = CountedCapture(&destroyed, i)] {
+            for (int j = 1; j <= 2; ++j) {
+              simulator.schedule_in(
+                  100, [c2 = CountedCapture(&destroyed, c.id + 64 * j)] {});
+            }
+          });
+    }
+    simulator.run_until(63.5);
+    ASSERT_EQ(simulator.events_executed(), 64u);
+    ASSERT_EQ(simulator.pending(), 128u);
+    for (int i = 0; i < 64 * 3; ++i) {
+      EXPECT_EQ(destroyed[static_cast<std::size_t>(i)], i < 64 ? 1 : 0)
+          << "id=" << i << " before the simulator is destroyed";
+    }
+  }
+  for (int i = 0; i < 64 * 3; ++i) {
+    EXPECT_EQ(destroyed[static_cast<std::size_t>(i)], 1) << "id=" << i;
+  }
+}
+
+TEST(KernelSlab, ReusedSlotDoesNotOrderEvents) {
+  Simulator simulator;
+  std::string order;
+  // Slot 0.  Its pop frees slot 0, and the t = 2 event it schedules
+  // reuses that slot, while the older t = 2 event waits in slot 1.
+  simulator.schedule_at(1.0, [&simulator, &order] {
+    simulator.schedule_at(2.0, [&order] { order += "newer "; });
+  });
+  simulator.schedule_at(2.0, [&order] { order += "older "; });  // slot 1
+  simulator.run_all();
+  EXPECT_EQ(order, "older newer ");
 }
 
 // ---------------------------------------------------------------------
