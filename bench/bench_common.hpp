@@ -41,7 +41,6 @@
 // experiment.
 #pragma once
 
-#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -52,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "flag_values.hpp"
 #include "harness/experiment.hpp"
 #include "runner/parallel_executor.hpp"
 #include "runner/results_writer.hpp"
@@ -90,29 +90,20 @@ inline BenchOptions parse_options(int argc, char** argv) {
   };
   auto numeric_value = [&](int& i) -> double {
     const std::string flag = argv[i];
-    const char* raw = string_value(i);
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0') {
-      usage_error(flag + ": not a number: '" + raw + "'");
+    double v = 0;
+    if (std::string error = read_number(flag, string_value(i), v);
+        !error.empty()) {
+      usage_error(error);
     }
     return v;
   };
-  // A count or a seed: a decimal integer in [lo, hi], read exactly
-  // (no fraction, exponent, sign or double round trip), so it is never
-  // cast from an out-of-range value.
   auto integer_value = [&](int& i, std::uint64_t lo,
                            std::uint64_t hi) -> std::uint64_t {
     const std::string flag = argv[i];
-    (void)numeric_value(i);  // "not a number" comes first
-    const std::string raw = argv[i];
     std::uint64_t v = 0;
-    const auto [end, ec] =
-        std::from_chars(raw.data(), raw.data() + raw.size(), v);
-    if (ec != std::errc() || end != raw.data() + raw.size() || v < lo ||
-        v > hi) {
-      usage_error(flag + ": expected an integer from " + std::to_string(lo) +
-                  " to " + std::to_string(hi) + ", got '" + raw + "'");
+    if (std::string error = read_integer(flag, string_value(i), lo, hi, v);
+        !error.empty()) {
+      usage_error(error);
     }
     return v;
   };

@@ -18,7 +18,7 @@
 // scan and broadcast receiver materialisation) through the real event
 // kernel.  Simulated time advances with every send, so mobility re-bins
 // and neighbor-row rebuilds happen at their natural rate: every query
-// either walks its node's current row or builds it.  Their _Static
+// either settles its node's current row or builds it.  Their _Static
 // variants place the same sensors without mobility, the shape of the
 // static-sensor workloads: nothing re-bins, the grid runs with zero
 // drift slack and every cached row is exactly the radio neighbourhood.
@@ -115,8 +115,8 @@ void BM_ClosestActuator(benchmark::State& state) {
 
 BENCHMARK(BM_ClosestActuator)->Arg(1000)->Arg(4000);
 
-/// Fixture + shared medium: the channel's CSMA scan and receiver
-/// materialisation both funnel through World::visit_reachable.
+/// Fixture + shared medium: the channel's CSMA scan and receiver set
+/// both funnel through World::reachable.
 struct ChannelFixture : Fixture {
   ChannelFixture(int n_sensors, bool mobile)
       : Fixture(n_sensors, mobile),

@@ -38,7 +38,7 @@ enum class Phase : int {
   kMediumScan,          ///< Channel::reserve_tx_slot CSMA neighbourhood defer
   kRoutingDecide,       ///< ReferRouter next-hop / Theorem 3.8 decisions
   kFlooding,            ///< net::Flooder query handling + rebroadcasts
-  kSpatialQuery,        ///< World::visit_reachable / closest_actuator
+  kSpatialQuery,        ///< World::reachable / closest_actuator
 };
 inline constexpr int kPhaseCount = 5;
 

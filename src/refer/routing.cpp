@@ -113,18 +113,20 @@ void ReferRouter::enter_overlay(NodeId at, int budget, PacketPtr pkt) {
     return;
   }
   const Point goal = world_->position(actuator);
-  double best_progress = distance_sq(world_->position(at), goal);
+  // Positions are fixed while `now` is: read each one once.
+  const Point here = world_->position(at);
+  double best_progress = distance_sq(here, goal);
   world_->visit_reachable(at, [&](NodeId n) {
     const Role r = topology_->role(n);
-    const double d_member =
-        distance_sq(world_->position(at), world_->position(n));
+    const Point there = world_->position(n);
+    const double d_member = distance_sq(here, there);
     if (r == Role::kActive || r == Role::kActuator) {
       if (d_member < best_member) {
         best_member = d_member;
         member = n;
       }
     }
-    const double d_goal = distance_sq(world_->position(n), goal);
+    const double d_goal = distance_sq(there, goal);
     if (d_goal < best_progress) {
       best_progress = d_goal;
       closer = n;

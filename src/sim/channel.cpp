@@ -131,15 +131,12 @@ void Channel::broadcast(NodeId from, std::size_t bytes, EnergyBucket bucket,
                         [this, from, bucket, range_override,
                          on_receive = std::move(on_receive)] {
     energy_->charge_tx(static_cast<std::size_t>(from), bucket);
-    // Materialise the receiver set before invoking handlers: on_receive may
-    // re-enter the channel (a flood hop starts the next broadcast), and the
-    // lease keeps the buffer safe across that re-entry without allocating.
-    ScratchPool::Lease lease = world_->lease_scratch();
-    std::vector<NodeId>& receivers = *lease;
-    world_->visit_reachable(
-        from, [&receivers](NodeId r) { receivers.push_back(r); },
-        range_override);
-    for (NodeId r : receivers) {
+    // The receiver set is fixed at delivery; on_receive may re-enter the
+    // channel (a flood hop starts the next broadcast), whose queries lease
+    // buffers of their own.
+    const ScratchPool::Lease receivers =
+        world_->reachable(from, range_override);
+    for (const NodeId r : receivers) {
       energy_->charge_rx(static_cast<std::size_t>(r), bucket);
       ++stats_.broadcast_receptions;
       if (on_receive) on_receive(r);

@@ -1,14 +1,14 @@
 // Epoch-validated neighbor-row cache over the spatial grid.
 //
 // Every CSMA medium scan (Channel::reserve_tx_slot), broadcast receiver
-// materialisation and routing reachable query funnels through
-// World::visit_reachable, which -- with only the grid -- walks the cells
-// intersecting the query radius, gathers candidates and sorts them into
-// ascending NodeId order *per query*.  Under load the same node queries
-// the same radius thousands of times between mobility re-bins, so the
-// cell walk + sort is pure repetition.  This cache remembers the sorted
-// candidate row per (node, query radius) and turns repeat queries into a
-// linear walk of a flat array.
+// set and routing reachable query funnels through World::reachable,
+// which -- with only the grid -- walks the cells intersecting the query
+// radius, gathers candidates and sorts them into ascending NodeId order
+// *per query*.  Under load the same node queries the same radius
+// thousands of times between mobility re-bins, so the cell walk + sort
+// is pure repetition.  This cache remembers the sorted candidate row per
+// (node, query radius) and turns repeat queries into a linear read of a
+// flat array.
 //
 // Layout: one Table per distinct query radius the run uses (sensor
 // range, actuator range, and any range_override such as flooding's
@@ -29,36 +29,31 @@
 // positions the row was built against, so a row built from
 // collect(p, r + 2*slack) -- collect() itself adds a third slack for
 // binned-position staleness -- remains a *superset* of the true in-range
-// set for every query it serves.  The caller's exact per-candidate check
-// (alive + within_range on live positions, ascending id order) then
-// yields results bit-identical to a linear scan.  Liveness flips need no
-// invalidation at all: dead nodes stay binned and are filtered by the
-// exact pass.
+// set for every query it serves.  World's settle passes (alive +
+// within_range on live positions, ascending id order) then yield results
+// bit-identical to a linear scan.  Liveness flips need no invalidation
+// at all: dead nodes stay binned and are dropped when a row is settled.
 //
-// The superset would make cached walks *slower* than uncached queries if
+// The superset would make cached queries *slower* than uncached ones if
 // every candidate still needed its live position evaluated: the row
 // covers ~(1 + 3*slack/r)^2 times the radio disk's area, and the
-// per-candidate waypoint interpolation dominates walk cost.  So each row
-// also stores every candidate's binned anchor.  Within the epoch a
+// per-candidate waypoint interpolation dominates settle cost.  So each
+// row also stores every candidate's binned anchor.  Within the epoch a
 // candidate's live position stays within `slack` of its anchor, giving
-// the walk a two-sided shortcut on the cheap anchor distance d:
-//   d > r + slack  =>  certainly out of range, skip;
+// the settle pass a two-sided verdict on the cheap anchor distance d:
+//   d > r + slack  =>  certainly out of range, reject;
 //   d < r - slack  =>  certainly in range, accept;
 // only the thin annulus in between needs the exact live-position check.
 // Both bands carry a small epsilon so floating-point edge cases fall
 // through to the exact check rather than trusting the bound to the ulp.
 //
-// Row storage is read back through (pool, index) pairs rather than raw
-// pointers: a query handler may re-enter visit_reachable (flooding does),
-// and the nested miss may append to the same pool, relocating its heap
-// buffer.  Indices survive that; pointers would dangle.  The tables
-// themselves live in a deque, so a nested miss that opens a new radius's
-// table never moves an existing one.
+// A Row is a plain pointer view.  World settles a row into its own
+// buffer before any caller code runs, so no store() can move a pool
+// while a row is being read.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/spatial_index.hpp"  // NodeId
@@ -67,13 +62,12 @@ namespace refer::sim {
 
 class NeighborCache {
  public:
-  /// A view of one cached row: elements are pool[begin] ..
-  /// pool[begin + len - 1], ascending ids, and `anchors` runs parallel
-  /// to `pool` with each candidate's binned position.
+  /// A view of one cached row: `len` ascending ids and, parallel to
+  /// them, each candidate's binned anchor.  Valid until the next store()
+  /// or reset().
   struct Row {
-    const std::vector<NodeId>* pool = nullptr;
-    const std::vector<Point>* anchors = nullptr;
-    std::uint32_t begin = 0;
+    const NodeId* ids = nullptr;
+    const Point* anchors = nullptr;
     std::uint32_t len = 0;
   };
 
@@ -104,9 +98,8 @@ class NeighborCache {
       if (t.range == range) {
         const auto slot = static_cast<std::size_t>(id);
         if (t.stamp[slot] != epoch_) return false;
-        out.pool = &t.pool;
-        out.anchors = &t.apool;
-        out.begin = t.begin[slot];
+        out.ids = t.pool.data() + t.begin[slot];
+        out.anchors = t.apool.data() + t.begin[slot];
         out.len = t.len[slot];
         ++stats_.hits;
         return true;
@@ -132,18 +125,15 @@ class NeighborCache {
       t.apool.clear();
       t.pool_epoch = epoch_;
     }
-    Row row;
-    row.pool = &t.pool;
-    row.anchors = &t.apool;
-    row.begin = static_cast<std::uint32_t>(t.pool.size());
-    row.len = static_cast<std::uint32_t>(ids.size());
+    const auto begin = static_cast<std::uint32_t>(t.pool.size());
+    const auto len = static_cast<std::uint32_t>(ids.size());
     t.pool.insert(t.pool.end(), ids.begin(), ids.end());
     for (const NodeId nid : ids) t.apool.push_back(anchor_of(nid));
     const auto slot = static_cast<std::size_t>(id);
-    t.begin[slot] = row.begin;
-    t.len[slot] = row.len;
+    t.begin[slot] = begin;
+    t.len[slot] = len;
     t.stamp[slot] = epoch_;
-    return row;
+    return Row{t.pool.data() + begin, t.apool.data() + begin, len};
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -161,7 +151,7 @@ class NeighborCache {
 
   Table& table_for(double range);
 
-  std::deque<Table> tables_;  ///< stable addresses: Row::pool points in
+  std::vector<Table> tables_;  ///< one per query radius, in first-use order
   std::uint64_t epoch_ = 1;   ///< starts above the stamp default of 0
   std::size_t n_ = 0;
   Stats stats_;

@@ -86,14 +86,27 @@ void SpatialIndex::collect(Point center, double radius,
   const int x1 = cell_x(center.x + r);
   const int y0 = cell_y(center.y - r);
   const int y1 = cell_y(center.y + r);
+  // Room for every entry of the covered cells, then each id is written
+  // and the write head advances past it only when it is in range: one
+  // compare per entry and no branch on its outcome.
+  std::size_t room = out.size();
   for (int cy = y0; cy <= y1; ++cy) {
     for (int cx = x0; cx <= x1; ++cx) {
-      const Cell& cell = cells_[cell_index(cx, cy)];
-      for (const Entry& e : cell.entries) {
-        if (distance_sq(center, e.p) <= r_sq) out.push_back(e.id);
+      room += cells_[cell_index(cx, cy)].entries.size();
+    }
+  }
+  std::size_t n = out.size();
+  out.resize(room);
+  NodeId* const dst = out.data();
+  for (int cy = y0; cy <= y1; ++cy) {
+    for (int cx = x0; cx <= x1; ++cx) {
+      for (const Entry& e : cells_[cell_index(cx, cy)].entries) {
+        dst[n] = e.id;
+        n += static_cast<std::size_t>(distance_sq(center, e.p) <= r_sq);
       }
     }
   }
+  out.resize(n);
 }
 
 }  // namespace refer::sim

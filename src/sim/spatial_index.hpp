@@ -76,7 +76,8 @@ class SpatialIndex {
 
   /// Appends to `out` every id binned within `radius + slack` of
   /// `center` (by binned position; the slack expansion makes this a
-  /// guaranteed superset of the true in-range set).  Unordered.
+  /// guaranteed superset of the true in-range set).  Unordered.  Hits
+  /// are compacted without a branch per entry.
   void collect(Point center, double radius, std::vector<NodeId>& out) const;
 
   /// The binned (anchor) position of `id` -- where update() last placed

@@ -13,11 +13,15 @@
 // sorted candidate row of each (node, query radius) pair is remembered
 // and reused until any grid re-bin bumps a global epoch, turning repeat
 // queries -- the CSMA medium scan fires one per transmission -- into a
-// flat array walk.  A query either walks its current row or, on a miss,
-// builds the row from the grid and walks that; the exact per-candidate
-// check still runs on live positions, so cached results stay
-// bit-identical too.  closest_actuator needs no index: it scans the few
-// static actuators in id order.
+// flat array read.  A query classifies first and visits after:
+// reachable() settles its row (the current one, or one built from the
+// grid on a miss) into a leased buffer of the exact in-range ids, and
+// only then does visit_reachable hand them to the visitor.  Settling is
+// two passes: a branch-free pass that sorts each candidate into reject,
+// accept or check-exactly by its anchor distance and its liveness byte,
+// and the exact live-position check for the thin annulus that needs it.
+// closest_actuator needs no index: it scans the few static actuators in
+// id order.
 #pragma once
 
 #include <bit>
@@ -38,18 +42,21 @@ namespace refer::sim {
 
 enum class NodeKind { kSensor, kActuator };
 
-/// A pool of NodeId buffers leased to in-flight queries.  Queries re-enter:
-/// a flood receive handler fired while iterating one neighbour set starts a
-/// fresh broadcast that needs its own, so a single scratch vector would be
-/// clobbered mid-iteration.  Leases nest like a stack; buffers are never
-/// freed, so steady-state queries allocate nothing.
+/// A pool of NodeId buffers leased to in-flight queries.  Query results
+/// nest: a visitor or broadcast receive handler iterating one result may
+/// query again (a flood hop starts the next broadcast), and that result
+/// needs its own buffer.  Leases nest like a stack; buffers only grow and
+/// are never freed, so steady-state queries allocate nothing.
 class ScratchPool {
  public:
+  /// One query's result: the first size() ids of a pooled buffer, which
+  /// World fills in place.
   class Lease {
    public:
     Lease(ScratchPool& pool, std::vector<NodeId>& buf) noexcept
         : pool_(&pool), buf_(&buf) {}
-    Lease(Lease&& o) noexcept : pool_(o.pool_), buf_(o.buf_) {
+    Lease(Lease&& o) noexcept
+        : pool_(o.pool_), buf_(o.buf_), size_(o.size_) {
       o.pool_ = nullptr;
     }
     Lease(const Lease&) = delete;
@@ -58,21 +65,25 @@ class ScratchPool {
     ~Lease() {
       if (pool_) --pool_->depth_;
     }
-    [[nodiscard]] std::vector<NodeId>& operator*() const noexcept {
-      return *buf_;
+    [[nodiscard]] const NodeId* begin() const noexcept {
+      return buf_->data();
     }
+    [[nodiscard]] const NodeId* end() const noexcept {
+      return buf_->data() + size_;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
    private:
+    friend class World;
     ScratchPool* pool_;
     std::vector<NodeId>* buf_;
+    std::size_t size_ = 0;
   };
 
   [[nodiscard]] Lease acquire() {
     if (depth_ == buffers_.size())
       buffers_.push_back(std::make_unique<std::vector<NodeId>>());
-    std::vector<NodeId>& buf = *buffers_[depth_++];
-    buf.clear();
-    return Lease(*this, buf);
+    return Lease(*this, *buffers_[depth_++]);
   }
 
  private:
@@ -122,47 +133,22 @@ class World {
   /// single pairwise check needs no index.
   [[nodiscard]] bool can_reach(NodeId from, NodeId to);
 
-  /// Visits every alive node within `from`'s transmission range (excluding
+  /// Every alive node within `from`'s transmission range (excluding
   /// itself) in ascending NodeId order -- identical ids and order to the
-  /// linear scan, but via the spatial index and without allocating.
+  /// linear scan, but via the spatial index and without allocating.  The
+  /// set is fixed at the call: liveness flips afterwards do not edit it.
   /// `range_override` > 0 models transmit power control (used by the
   /// embedding protocol's path queries); 0 uses the node's own range.
+  /// Empty when `from` is dead.
+  [[nodiscard]] ScratchPool::Lease reachable(NodeId from,
+                                             double range_override = 0);
+
+  /// Calls `fn` on each id of reachable(from, range_override), in order.
+  /// `fn` may query the world again; its queries lease their own buffers.
   template <typename Fn>
   void visit_reachable(NodeId from, Fn&& fn, double range_override = 0) {
-    // Every geometric query charges the simulator's phase profiler.
-    PhaseProfiler::Scope phase(sim_->instruments().phases,
-                               Phase::kSpatialQuery);
-    if (!alive(from)) return;
-    const Point p = position(from);
-    const double r = range_override > 0 ? range_override : range(from);
-    if (ensure_index()) {
-      NeighborCache::Row row;
-      if (!ncache_.lookup(from, r, row)) {
-        ScratchPool::Lease lease = scratch_.acquire();
-        std::vector<NodeId>& buf = *lease;
-        // A row serves queries until the next re-bin.  Between its
-        // build and its last reuse the querying node and any true
-        // neighbour have each drifted at most `slack` from their binned
-        // anchors (the re-bin IS the moment that bound would break), so
-        // the build widens the radius by two slack budgets on top of
-        // collect()'s own binned-position expansion: the row stays a
-        // superset of every in-range set it serves, and the exact check
-        // in walk_row keeps results bit-identical to a linear scan.
-        index_.collect(p, r + 2 * index_.slack(), buf);
-        sort_ids(buf);
-        index_stats_.queries += 1;
-        index_stats_.candidates += buf.size();
-        row = ncache_.store(from, r, buf,
-                            [this](NodeId j) { return index_.anchor(j); });
-      }
-      walk_row(row, from, p, r, sim_->now(), fn);
-      return;
-    }
-    // No index can exist (every range zero): scan all nodes.
-    for (NodeId i = 0; static_cast<std::size_t>(i) < nodes_.size(); ++i) {
-      if (i == from || !alive(i)) continue;
-      if (within_range(p, position(i), r)) fn(i);
-    }
+    const ScratchPool::Lease ids = reachable(from, range_override);
+    for (const NodeId i : ids) fn(i);
   }
 
   /// All node ids of one kind.
@@ -178,12 +164,6 @@ class World {
   [[nodiscard]] const NeighborCache::Stats& neighbor_cache_stats()
       const noexcept {
     return ncache_.stats();
-  }
-
-  /// Leases a reusable NodeId buffer for callers that need to materialise
-  /// a neighbour set without allocating (e.g. broadcast delivery).
-  [[nodiscard]] ScratchPool::Lease lease_scratch() {
-    return scratch_.acquire();
   }
 
   /// Index health counters, exported as world.grid.* observability.
@@ -235,43 +215,13 @@ class World {
   struct Node {
     NodeKind kind;
     double range;
-    bool alive = true;
     Waypoint motion;
   };
 
-  /// Exact filter pass over a cached row: ascending-id candidates
-  /// settled by the anchor shortcut where the slack bound is decisive
-  /// and re-checked against live positions in the remaining annulus, so
-  /// survivors match a linear scan bit for bit.  Candidates are read
-  /// back through (pool, index) rather than a raw pointer because `fn` may re-enter
-  /// visit_reachable (flood handlers do) and the nested miss may append
-  /// to the same pool, relocating its storage -- indices survive that.
-  template <typename Fn>
-  void walk_row(NeighborCache::Row row, NodeId from, Point p, double r,
-                Time now, Fn&& fn) {
-    // Anchor shortcut: within the epoch every candidate's live position
-    // stays within slack of its stored anchor, so the cheap anchor
-    // distance settles all but a thin annulus of candidates without
-    // evaluating their waypoint positions.  The epsilon keeps
-    // floating-point edge cases on the exact-check path; it only narrows
-    // the shortcut bands, never changes results.
-    const double s = index_.slack() + 1e-6;
-    const double reject = (r + s) * (r + s);
-    const double accept = r > s ? (r - s) * (r - s) : -1.0;
-    for (std::uint32_t k = 0; k < row.len; ++k) {
-      const double d2 = distance_sq(p, (*row.anchors)[row.begin + k]);
-      if (d2 > reject) continue;  // out of range even after drift
-      const NodeId i = (*row.pool)[row.begin + k];
-      if (i == from) continue;
-      Node& n = nodes_[static_cast<std::size_t>(i)];
-      if (!n.alive) continue;
-      if (d2 < accept) {  // in range even after drift
-        fn(i);
-        continue;
-      }
-      if (within_range(p, n.motion.position_at(now), r)) fn(i);
-    }
-  }
+  /// The settle passes over a row: fills `out` with the row's candidates
+  /// that are alive and within `r` of `p` now, in row order.
+  void settle_row(const NeighborCache::Row& row, Point p, double r,
+                  ScratchPool::Lease& out);
 
   NodeId add_node(Node node);
   /// Revalidates (or lazily rebuilds) the index for the current time;
@@ -284,6 +234,9 @@ class World {
   Rect area_;
   Simulator* sim_;
   std::vector<Node> nodes_;
+  /// Liveness per node, 1 = alive: one byte each, so the settle pass
+  /// reads it without touching the node's mobility state.
+  std::vector<std::uint8_t> alive_;
 
   bool index_dirty_ = true;
   bool index_usable_ = false;
@@ -292,6 +245,9 @@ class World {
   NeighborCache ncache_;
   ScratchPool scratch_;
   std::vector<std::uint64_t> mark_;  ///< sort_ids scratch bitmap
+  std::vector<NodeId> candidates_;   ///< a row being built, before store
+  /// settle_row scratch: output positions of the annulus candidates.
+  std::vector<std::uint32_t> annulus_;
   IndexStats index_stats_;
 };
 

@@ -1,9 +1,9 @@
-// Tests for the strict referbench flag parser (bench/bench_common.hpp):
-// every accepted flag round-trips into BenchOptions, and any typo --
-// unknown flag, missing value, non-numeric or out-of-range value --
-// exits with code 2 instead of silently running a different experiment.
-// Plus the --csv output path: a file that cannot be written fails the
-// run.
+// Tests for the strict referbench flag parsers (bench/bench_common.hpp
+// and `referbench fuzz` in tools/verify_commands.cpp): every accepted
+// flag round-trips into BenchOptions, and any typo -- unknown flag,
+// missing value, non-numeric or out-of-range value -- exits with code 2
+// instead of silently running a different experiment.  Plus the --csv
+// output path: a file that cannot be written fails the run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "verify_commands.hpp"
 
 namespace refer::bench {
 namespace {
@@ -203,6 +204,53 @@ TEST(ParseOptionsDeathTest, NonPositiveTimelineExits2) {
   Argv b({"--timeline", "nan"});
   EXPECT_EXIT(parse_options(b.argc(), b.argv()),
               ::testing::ExitedWithCode(2), "--timeline: must be a positive");
+}
+
+// `referbench fuzz` flags.  Each value used to be read with atoi, atof
+// or strtoull and never checked: `--seeds many` ran 0 cases and exited
+// 0.  The argv handed to run_fuzz_command starts after the word "fuzz";
+// every bad value exits 2 before a case or a thread starts.
+int fuzz(std::vector<std::string> args) {
+  Argv a(std::move(args));
+  return tools::run_fuzz_command(a.argc() - 1, a.argv() + 1);
+}
+
+TEST(FuzzFlagsDeathTest, SeedsMustBeACountOfAtLeastOne) {
+  EXPECT_EXIT(fuzz({"--seeds", "many", "--jobs", "1"}),
+              ::testing::ExitedWithCode(2), "--seeds: not a number: 'many'");
+  EXPECT_EXIT(fuzz({"--seeds", "0"}), ::testing::ExitedWithCode(2),
+              "--seeds: expected an integer from 1 to 2147483647, got '0'");
+}
+
+TEST(FuzzFlagsDeathTest, SeedMustFitUint64) {
+  EXPECT_EXIT(fuzz({"--seed", "-1"}), ::testing::ExitedWithCode(2),
+              "--seed: expected an integer from 0 to 18446744073709551615, "
+              "got '-1'");
+  EXPECT_EXIT(fuzz({"--seed", "18446744073709551616"}),
+              ::testing::ExitedWithCode(2), "--seed: expected an integer");
+}
+
+TEST(FuzzFlagsDeathTest, BudgetMustBeFiniteAndNonNegative) {
+  EXPECT_EXIT(fuzz({"--budget-s", "-1"}), ::testing::ExitedWithCode(2),
+              "--budget-s: must be a finite number >= 0, got '-1'");
+  EXPECT_EXIT(fuzz({"--budget-s", "nan"}), ::testing::ExitedWithCode(2),
+              "--budget-s: must be a finite number >= 0");
+  EXPECT_EXIT(fuzz({"--budget-s", "10m"}), ::testing::ExitedWithCode(2),
+              "--budget-s: not a number: '10m'");
+}
+
+TEST(FuzzFlagsDeathTest, JobsMustBeNonNegative) {
+  EXPECT_EXIT(fuzz({"--jobs", "-1"}), ::testing::ExitedWithCode(2),
+              "--jobs: expected an integer from 0 to 2147483647, got '-1'");
+  EXPECT_EXIT(fuzz({"--jobs", "many"}), ::testing::ExitedWithCode(2),
+              "--jobs: not a number: 'many'");
+}
+
+TEST(FuzzFlagsDeathTest, PlantMustNameAKnownBug) {
+  EXPECT_EXIT(fuzz({"--plant", "3"}), ::testing::ExitedWithCode(2),
+              "--plant: expected an integer from 0 to 2, got '3'");
+  EXPECT_EXIT(fuzz({"--plant", "1.5"}), ::testing::ExitedWithCode(2),
+              "--plant: expected an integer from 0 to 2, got '1.5'");
 }
 
 TEST(EmitSeries, UnwritableCsvIsReportedAndFailsTheRun) {

@@ -6,6 +6,7 @@
 // the zero-steady-state-allocation pin on the cached scan path.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -241,6 +242,97 @@ TEST(NeighborCacheProperty, StaticLatticeAtExactRangeStaysExact) {
       }
     }
     EXPECT_GT(world.neighbor_cache_stats().hits, world.size());
+  }
+}
+
+TEST(NeighborCacheProperty, VisitorsSeeTheSetAsOfTheCall) {
+  // A query's set is settled before its first visit.  A visitor that
+  // kills a neighbour it has not reached yet still receives it, and the
+  // kill shows from the next query on -- both when the visit reads a
+  // freshly built row and when it reads a cached one.
+  int kills = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Simulator sim;
+    RandomWorld rw(seed * 131 + 7, sim, seed % 4 == 0);
+    sim::World& world = *rw.world;
+    sim.run_until(rw.rng.uniform(0, 5));
+    for (NodeId from = 0; static_cast<std::size_t>(from) < world.size();
+         ++from) {
+      for (int rep = 0; rep < 2; ++rep) {  // build the row, then hit it
+        const std::vector<NodeId> expected = test::reachable(world, from);
+        if (expected.size() < 2) break;
+        const NodeId victim = expected.back();
+        std::vector<NodeId> seen;
+        world.visit_reachable(from, [&](NodeId j) {
+          if (seen.empty()) world.set_alive(victim, false);
+          seen.push_back(j);
+        });
+        ASSERT_EQ(seen, expected)
+            << "seed=" << seed << " from=" << from << " rep=" << rep;
+        ASSERT_EQ(test::reachable_from(world, from),
+                  test::reachable(world, from))
+            << "seed=" << seed << " from=" << from << " rep=" << rep;
+        world.set_alive(victim, true);
+        ++kills;
+      }
+    }
+  }
+  EXPECT_GT(kills, 1000);
+}
+
+TEST(NeighborCacheProperty, MobileCandidatesOnTheBandEdgesStayExact) {
+  // Mobile candidates start exactly on the settle pass's band edges
+  // around the querier: r - slack (the accept band's edge), r (the query
+  // range) and r + slack (the reject band's edge), along both axes and
+  // both diagonals.  At t = 0 every anchor is a live position, so each
+  // candidate sits on a boundary; then they drift across the bands,
+  // first within the row's epoch and later across re-bins.  Every
+  // query, fresh row or cached, must equal the brute-force scan.
+  constexpr double kRange = 100;
+  constexpr double kSlack = 0.05 * kRange;  // 5 % of the smallest range
+  const double diag = 1 / std::sqrt(2.0);
+  const Point dirs[] = {{1, 0},     {0, 1},     {-1, 0},     {0, -1},
+                        {diag, diag}, {-diag, diag}, {-diag, -diag},
+                        {diag, -diag}};
+  for (const bool mobile_querier : {false, true}) {
+    sim::Simulator sim;
+    sim::World world(Rect{{0, 0}, {600, 600}}, sim);
+    const Point c{300, 300};
+    Rng rng(5);
+    const NodeId querier =
+        mobile_querier ? world.add_sensor(c, kRange, 0.5, 4, rng.split())
+                       : world.add_static_sensor(c, kRange);
+    for (const double d : {kRange - kSlack, kRange, kRange + kSlack}) {
+      for (const Point u : dirs) {
+        world.add_sensor({c.x + d * u.x, c.y + d * u.y}, kRange, 0.5, 4,
+                         rng.split());
+      }
+    }
+    // On the axes the distances are exact: the r - slack and r
+    // candidates are in range at t = 0 and the r + slack ones are not.
+    const std::vector<NodeId> at_start = test::reachable(world, querier);
+    for (const NodeId axis : {1, 2, 3, 4, 9, 10, 11, 12}) {
+      EXPECT_NE(std::find(at_start.begin(), at_start.end(), axis),
+                at_start.end());
+    }
+    for (const NodeId axis : {17, 18, 19, 20}) {
+      EXPECT_EQ(std::find(at_start.begin(), at_start.end(), axis),
+                at_start.end());
+    }
+    for (const double t : {0.0, 0.05, 0.3, 1.0, 2.5, 6.0, 15.0}) {
+      sim.run_until(t);
+      for (int rep = 0; rep < 2; ++rep) {  // build the row, then hit it
+        for (const double range_override :
+             {0.0, kRange - kSlack, kRange + kSlack}) {
+          ASSERT_EQ(test::reachable_from(world, querier, range_override),
+                    test::reachable(world, querier, range_override))
+              << "mobile querier=" << mobile_querier << " t=" << t
+              << " override=" << range_override;
+        }
+      }
+    }
+    EXPECT_GT(world.neighbor_cache_stats().hits, 0u);
+    EXPECT_GT(world.index_stats().rebins, world.size());  // drifted past
   }
 }
 

@@ -1,12 +1,16 @@
 #include "verify_commands.hpp"
 
 #include <cinttypes>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "flag_values.hpp"
 #include "verify/fuzzer.hpp"
 #include "verify/repro.hpp"
 #include "verify/shrink.hpp"
@@ -22,11 +26,13 @@ void print_fuzz_usage(std::FILE* out) {
       out,
       "usage: referbench fuzz [flags]\n"
       "\n"
-      "  --seeds N      fuzz cases to run (default 25)\n"
-      "  --seed S       first fuzz seed (default 1)\n"
+      "  --seeds N      fuzz cases to run, >= 1 (default 25)\n"
+      "  --seed S       first fuzz seed, 0..2^64-1 (default 1)\n"
       "  --budget-s S   stop launching new waves after S seconds\n"
+      "                 (0 = no budget, the default)\n"
       "  --jobs N       parallel jobs; 0 = one per core (default 1)\n"
-      "  --plant K      plant known bug K (testing the checker itself)\n"
+      "  --plant K      plant known bug K, 0..2 (testing the checker\n"
+      "                 itself; 0 = none)\n"
       "  --app-faults   force the closed-loop app layer (with actuator\n"
       "                 fault schedules) on in every case\n"
       "  --dir PATH     trace directory (default: <tmp>/refer_fuzz)\n"
@@ -37,23 +43,39 @@ void print_fuzz_usage(std::FILE* out) {
       "exit: 0 all cases clean, 1 violations found, 2 usage error\n");
 }
 
-/// Strict flag parsing, same contract as bench_common.hpp: unknown flag
-/// or missing value prints usage and exits 2.
+/// Strict flag parsing, same contract and number rules as
+/// bench_common.hpp: an unknown flag, a missing value or an out-of-range
+/// number prints a message and the usage, and exits 2.
 struct FuzzArgs {
   FuzzOptions options;
   std::string repro_path = "repro.json";
   bool shrink = true;
 };
 
+[[noreturn]] void fuzz_usage_error(const std::string& message) {
+  std::fprintf(stderr, "referbench fuzz: %s\n", message.c_str());
+  print_fuzz_usage(stderr);
+  std::exit(2);
+}
+
 FuzzArgs parse_fuzz_args(int argc, char** argv) {
   FuzzArgs args;
-  auto need_value = [&](int i) -> const char* {
+  auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
-      std::fprintf(stderr, "referbench fuzz: %s needs a value\n", argv[i]);
-      print_fuzz_usage(stderr);
-      std::exit(2);
+      fuzz_usage_error(std::string(argv[i]) + " needs a value");
     }
-    return argv[i + 1];
+    return argv[++i];
+  };
+  auto integer_value = [&](int& i, std::uint64_t lo,
+                           std::uint64_t hi) -> std::uint64_t {
+    const std::string flag = argv[i];
+    std::uint64_t v = 0;
+    if (std::string error =
+            bench::read_integer(flag, need_value(i), lo, hi, v);
+        !error.empty()) {
+      fuzz_usage_error(error);
+    }
+    return v;
   };
   for (int i = 0; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -61,28 +83,34 @@ FuzzArgs parse_fuzz_args(int argc, char** argv) {
       print_fuzz_usage(stdout);
       std::exit(0);
     } else if (flag == "--seeds") {
-      args.options.seeds = std::atoi(need_value(i++));
+      args.options.seeds = static_cast<int>(integer_value(i, 1, INT_MAX));
     } else if (flag == "--seed") {
-      args.options.base_seed = std::strtoull(need_value(i++), nullptr, 10);
+      args.options.base_seed = integer_value(i, 0, UINT64_MAX);
     } else if (flag == "--budget-s") {
-      args.options.budget_s = std::atof(need_value(i++));
+      double v = 0;
+      if (std::string error = bench::read_number(flag, need_value(i), v);
+          !error.empty()) {
+        fuzz_usage_error(error);
+      }
+      if (!(v >= 0) || !std::isfinite(v)) {
+        fuzz_usage_error(flag + ": must be a finite number >= 0, got '" +
+                         argv[i] + "'");
+      }
+      args.options.budget_s = v;
     } else if (flag == "--jobs") {
-      args.options.jobs = std::atoi(need_value(i++));
+      args.options.jobs = static_cast<int>(integer_value(i, 0, INT_MAX));
     } else if (flag == "--plant") {
-      args.options.planted_bug = std::atoi(need_value(i++));
+      args.options.planted_bug = static_cast<int>(integer_value(i, 0, 2));
     } else if (flag == "--app-faults") {
       args.options.force_app = true;
     } else if (flag == "--dir") {
-      args.options.trace_dir = need_value(i++);
+      args.options.trace_dir = need_value(i);
     } else if (flag == "--repro") {
-      args.repro_path = need_value(i++);
+      args.repro_path = need_value(i);
     } else if (flag == "--no-shrink") {
       args.shrink = false;
     } else {
-      std::fprintf(stderr, "referbench fuzz: unknown flag '%s'\n",
-                   flag.c_str());
-      print_fuzz_usage(stderr);
-      std::exit(2);
+      fuzz_usage_error("unknown flag '" + flag + "'");
     }
   }
   return args;
